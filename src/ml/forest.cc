@@ -45,6 +45,8 @@ Status ForestLearner::Fit(const LabeledData& data) {
     hess.assign(n, 1.0);
     for (size_t i = 0; i < n; ++i) grad[i] = -data.y[i];
   }
+  // Sorted once here and shared read-only by every tree's pool task.
+  const FeatureOrder order = SortFeatures(data.x);
   // Trees are independent given their bootstrap sample and RNG stream.
   // Forking one stream per tree up front decouples each tree's draws
   // from scheduling, so the fitted forest is identical at any thread
@@ -61,12 +63,12 @@ Status ForestLearner::Fit(const LabeledData& data) {
           for (size_t i = 0; i < n; ++i) rows[i] = rng->UniformInt(n);
         }
         if (IsClassification(task_)) {
-          return FitClassificationTree(data.x, data.y, num_classes_, rows,
-                                       params, rng);
+          return FitClassificationTree(data.x, order, data.y, num_classes_,
+                                       rows, params, rng);
         }
         TreeParams p = params;
         p.lambda = 0.0;
-        return FitGradientTree(data.x, grad, hess, rows, p, rng);
+        return FitGradientTree(data.x, order, grad, hess, rows, p, rng);
       });
   fitted_ = true;
   return Status::Ok();

@@ -70,6 +70,7 @@ Status GbdtLearner::Fit(const LabeledData& data) {
   std::vector<double> grad(n);
   std::vector<double> hess(n);
   std::vector<double> probs(static_cast<size_t>(score_dims_));
+  const FeatureOrder order = SortFeatures(data.x);
 
   for (int round = 0; round < n_estimators_; ++round) {
     // Row subsample for this round.
@@ -103,7 +104,8 @@ Status GbdtLearner::Fit(const LabeledData& data) {
           hess[i] = std::max(p * (1.0 - p), 1e-6);
         }
         Tree tree =
-            FitGradientTree(data.x, grad, hess, rows, tree_params_, &rng_);
+            FitGradientTree(data.x, order, grad, hess, rows, tree_params_,
+                            &rng_);
         for (size_t i = 0; i < n; ++i) {
           scores[i * static_cast<size_t>(score_dims_) +
                  static_cast<size_t>(k)] +=
@@ -116,8 +118,8 @@ Status GbdtLearner::Fit(const LabeledData& data) {
         grad[i] = scores[i] - data.y[i];
         hess[i] = 1.0;
       }
-      Tree tree =
-          FitGradientTree(data.x, grad, hess, rows, tree_params_, &rng_);
+      Tree tree = FitGradientTree(data.x, order, grad, hess, rows,
+                                  tree_params_, &rng_);
       for (size_t i = 0; i < n; ++i) {
         scores[i] += learning_rate_ * tree.Evaluate(data.x.Row(i));
       }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <optional>
 
 #include "util/logging.h"
 
@@ -34,12 +36,84 @@ std::vector<int> SampleFeatures(size_t num_features, double max_features,
   return all;
 }
 
-struct GradientSplit {
+/// One tree's row lists, cut from the shared FeatureOrder. Every list holds
+/// the tree's rows (a row drawn k times appears k times) and a node owns
+/// the same range [begin, end) of each. The rows list keeps the caller's
+/// order, so node sums accumulate exactly as over a row vector; feature
+/// f's list keeps (value, row) order, so a split scan reads it directly.
+class RowLists {
+ public:
+  RowLists(const FeatureMatrix& x, const FeatureOrder& order,
+           const std::vector<size_t>& rows)
+      : x_(&x),
+        size_(rows.size()),
+        rows_(rows.begin(), rows.end()),
+        sorted_(x.cols * rows.size()),
+        scratch_(rows.size()),
+        goes_left_(x.rows) {
+    KGPIP_CHECK(order.rows == x.rows &&
+                order.index.size() == x.rows * x.cols);
+    std::vector<uint32_t> copies(x.rows, 0);
+    for (size_t r : rows) ++copies[r];
+    for (size_t f = 0; f < x.cols; ++f) {
+      uint32_t* out = sorted_.data() + f * size_;
+      for (const uint32_t* r = order.Column(f); r != order.Column(f + 1);
+           ++r) {
+        out = std::fill_n(out, copies[*r], *r);
+      }
+    }
+  }
+
+  const uint32_t* rows() const { return rows_.data(); }
+  const uint32_t* Sorted(int f) const {
+    return sorted_.data() + static_cast<size_t>(f) * size_;
+  }
+
+  /// Splits node [begin, end) on x(r, feature) <= threshold. If both sides
+  /// keep at least `min_leaf` rows, stably partitions every list's range
+  /// (left rows first) and returns the boundary; otherwise changes nothing.
+  std::optional<size_t> Partition(size_t begin, size_t end, int feature,
+                                  double threshold, size_t min_leaf) {
+    size_t left = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t r = rows_[i];
+      goes_left_[r] = x_->At(r, feature) <= threshold;
+      left += goes_left_[r];
+    }
+    if (left < min_leaf || end - begin - left < min_leaf) return std::nullopt;
+    PartitionList(rows_.data(), begin, end);
+    for (size_t f = 0; f < x_->cols; ++f) {
+      PartitionList(sorted_.data() + f * size_, begin, end);
+    }
+    return begin + left;
+  }
+
+ private:
+  void PartitionList(uint32_t* list, size_t begin, size_t end) {
+    uint32_t* left = list + begin;
+    uint32_t* right = scratch_.data();
+    for (size_t i = begin; i < end; ++i) {
+      if (goes_left_[list[i]]) {
+        *left++ = list[i];
+      } else {
+        *right++ = list[i];
+      }
+    }
+    std::copy(scratch_.data(), right, left);
+  }
+
+  const FeatureMatrix* x_;
+  size_t size_;
+  std::vector<uint32_t> rows_;
+  std::vector<uint32_t> sorted_;
+  std::vector<uint32_t> scratch_;
+  std::vector<uint8_t> goes_left_;
+};
+
+struct Split {
   int feature = -1;
   double threshold = 0.0;
   double gain = 0.0;
-  std::vector<size_t> left_rows;
-  std::vector<size_t> right_rows;
 };
 
 double LeafObjective(double sum_g, double sum_h, double lambda) {
@@ -54,112 +128,94 @@ struct GradientBuilder {
   TreeParams params;
   Rng* rng;
   std::vector<TreeNode>* nodes;
+  RowLists* lists;
 
-  int Build(const std::vector<size_t>& rows, int depth) {
+  int Build(size_t begin, size_t end, int depth) {
     double sum_g = 0.0;
     double sum_h = 0.0;
-    for (size_t r : rows) {
-      sum_g += (*grad)[r];
-      sum_h += (*hess)[r];
+    const uint32_t* rows = lists->rows();
+    for (size_t i = begin; i < end; ++i) {
+      sum_g += (*grad)[rows[i]];
+      sum_h += (*hess)[rows[i]];
     }
-    const double leaf_value = -sum_g / (sum_h + params.lambda);
-    const bool can_split =
-        depth < params.max_depth &&
-        rows.size() >= static_cast<size_t>(params.min_samples_split);
-    GradientSplit best;
-    if (can_split) best = FindSplit(rows, sum_g, sum_h);
     int node_index = static_cast<int>(nodes->size());
     nodes->push_back(TreeNode{});
-    if (best.feature < 0) {
-      (*nodes)[node_index].value = leaf_value;
-      return node_index;
+    const bool can_split =
+        depth < params.max_depth &&
+        end - begin >= static_cast<size_t>(params.min_samples_split);
+    if (can_split) {
+      Split best = FindSplit(begin, end, sum_g, sum_h);
+      std::optional<size_t> mid;
+      if (best.feature >= 0) {
+        mid = lists->Partition(
+            begin, end, best.feature, best.threshold,
+            static_cast<size_t>(params.min_samples_leaf));
+      }
+      if (mid) {
+        (*nodes)[node_index].feature = best.feature;
+        (*nodes)[node_index].threshold = best.threshold;
+        int left = Build(begin, *mid, depth + 1);
+        int right = Build(*mid, end, depth + 1);
+        (*nodes)[node_index].left = left;
+        (*nodes)[node_index].right = right;
+        return node_index;
+      }
     }
-    (*nodes)[node_index].feature = best.feature;
-    (*nodes)[node_index].threshold = best.threshold;
-    int left = Build(best.left_rows, depth + 1);
-    int right = Build(best.right_rows, depth + 1);
-    (*nodes)[node_index].left = left;
-    (*nodes)[node_index].right = right;
+    (*nodes)[node_index].value = -sum_g / (sum_h + params.lambda);
     return node_index;
   }
 
-  GradientSplit FindSplit(const std::vector<size_t>& rows, double sum_g,
-                          double sum_h) {
-    GradientSplit best;
+  Split FindSplit(size_t begin, size_t end, double sum_g, double sum_h) {
+    Split best;
     const double parent_obj =
         LeafObjective(sum_g, sum_h, params.lambda);
-    std::vector<int> features =
-        SampleFeatures(x->cols, params.max_features, rng);
+    const size_t count = end - begin;
     const size_t min_leaf = static_cast<size_t>(params.min_samples_leaf);
-    std::vector<std::pair<double, size_t>> sorted;
-    sorted.reserve(rows.size());
-    for (int f : features) {
-      sorted.clear();
-      for (size_t r : rows) sorted.emplace_back(x->At(r, f), r);
-      std::sort(sorted.begin(), sorted.end());
-      if (sorted.front().first == sorted.back().first) continue;
+    for (int f : SampleFeatures(x->cols, params.max_features, rng)) {
+      if (count < 2) continue;
+      const uint32_t* sorted = lists->Sorted(f) + begin;
+      const double lo = x->At(sorted[0], f);
+      const double hi = x->At(sorted[count - 1], f);
+      if (lo == hi) continue;
       if (params.random_thresholds) {
-        double lo = sorted.front().first;
-        double hi = sorted.back().first;
         double threshold = rng->Uniform(lo, hi);
         double left_g = 0.0;
         double left_h = 0.0;
         size_t left_count = 0;
-        for (const auto& [v, r] : sorted) {
-          if (v <= threshold) {
-            left_g += (*grad)[r];
-            left_h += (*hess)[r];
-            ++left_count;
-          }
+        for (; left_count < count &&
+               x->At(sorted[left_count], f) <= threshold;
+             ++left_count) {
+          left_g += (*grad)[sorted[left_count]];
+          left_h += (*hess)[sorted[left_count]];
         }
-        if (left_count < min_leaf || rows.size() - left_count < min_leaf) {
+        if (left_count < min_leaf || count - left_count < min_leaf) {
           continue;
         }
         double gain = LeafObjective(left_g, left_h, params.lambda) +
                       LeafObjective(sum_g - left_g, sum_h - left_h,
                                     params.lambda) -
                       parent_obj;
-        if (gain > best.gain) {
-          best.gain = gain;
-          best.feature = f;
-          best.threshold = threshold;
-        }
+        if (gain > best.gain) best = {f, threshold, gain};
       } else {
         double left_g = 0.0;
         double left_h = 0.0;
-        for (size_t i = 0; i + 1 < sorted.size(); ++i) {
-          left_g += (*grad)[sorted[i].second];
-          left_h += (*hess)[sorted[i].second];
-          if (sorted[i].first == sorted[i + 1].first) continue;
+        double next = lo;
+        for (size_t i = 0; i + 1 < count; ++i) {
+          left_g += (*grad)[sorted[i]];
+          left_h += (*hess)[sorted[i]];
+          const double value = next;
+          next = x->At(sorted[i + 1], f);
+          if (value == next) continue;
           size_t left_count = i + 1;
-          if (left_count < min_leaf ||
-              sorted.size() - left_count < min_leaf) {
+          if (left_count < min_leaf || count - left_count < min_leaf) {
             continue;
           }
           double gain = LeafObjective(left_g, left_h, params.lambda) +
                         LeafObjective(sum_g - left_g, sum_h - left_h,
                                       params.lambda) -
                         parent_obj;
-          if (gain > best.gain) {
-            best.gain = gain;
-            best.feature = f;
-            best.threshold =
-                0.5 * (sorted[i].first + sorted[i + 1].first);
-          }
+          if (gain > best.gain) best = {f, 0.5 * (value + next), gain};
         }
-      }
-    }
-    if (best.feature >= 0) {
-      for (size_t r : rows) {
-        if (x->At(r, best.feature) <= best.threshold) {
-          best.left_rows.push_back(r);
-        } else {
-          best.right_rows.push_back(r);
-        }
-      }
-      if (best.left_rows.size() < min_leaf ||
-          best.right_rows.size() < min_leaf) {
-        best.feature = -1;
       }
     }
     return best;
@@ -174,6 +230,7 @@ struct GiniBuilder {
   TreeParams params;
   Rng* rng;
   std::vector<TreeNode>* nodes;
+  RowLists* lists;
 
   static double Gini(const std::vector<double>& counts, double total) {
     if (total <= 0.0) return 0.0;
@@ -185,84 +242,73 @@ struct GiniBuilder {
     return g;
   }
 
-  int Build(const std::vector<size_t>& rows, int depth) {
+  int Build(size_t begin, size_t end, int depth) {
     std::vector<double> counts(num_classes, 0.0);
-    for (size_t r : rows) {
-      counts[static_cast<size_t>((*y)[r])] += 1.0;
+    const uint32_t* rows = lists->rows();
+    for (size_t i = begin; i < end; ++i) {
+      counts[static_cast<size_t>((*y)[rows[i]])] += 1.0;
     }
     int majority = 0;
-    bool pure = false;
     for (int c = 1; c < num_classes; ++c) {
       if (counts[c] > counts[majority]) majority = c;
     }
-    pure = counts[majority] == static_cast<double>(rows.size());
+    const bool pure =
+        counts[majority] == static_cast<double>(end - begin);
     int node_index = static_cast<int>(nodes->size());
     nodes->push_back(TreeNode{});
     const bool can_split =
         !pure && depth < params.max_depth &&
-        rows.size() >= static_cast<size_t>(params.min_samples_split);
+        end - begin >= static_cast<size_t>(params.min_samples_split);
     if (can_split) {
-      auto [feature, threshold, gain] = FindSplit(rows, counts);
-      if (feature >= 0 && gain > 1e-12) {
-        std::vector<size_t> left_rows, right_rows;
-        for (size_t r : rows) {
-          if (x->At(r, feature) <= threshold) {
-            left_rows.push_back(r);
-          } else {
-            right_rows.push_back(r);
-          }
-        }
-        const size_t min_leaf =
-            static_cast<size_t>(params.min_samples_leaf);
-        if (left_rows.size() >= min_leaf &&
-            right_rows.size() >= min_leaf) {
-          (*nodes)[node_index].feature = feature;
-          (*nodes)[node_index].threshold = threshold;
-          int left = Build(left_rows, depth + 1);
-          int right = Build(right_rows, depth + 1);
-          (*nodes)[node_index].left = left;
-          (*nodes)[node_index].right = right;
-          return node_index;
-        }
+      Split best = FindSplit(begin, end, counts);
+      std::optional<size_t> mid;
+      if (best.feature >= 0 && best.gain > 1e-12) {
+        mid = lists->Partition(
+            begin, end, best.feature, best.threshold,
+            static_cast<size_t>(params.min_samples_leaf));
+      }
+      if (mid) {
+        (*nodes)[node_index].feature = best.feature;
+        (*nodes)[node_index].threshold = best.threshold;
+        int left = Build(begin, *mid, depth + 1);
+        int right = Build(*mid, end, depth + 1);
+        (*nodes)[node_index].left = left;
+        (*nodes)[node_index].right = right;
+        return node_index;
       }
     }
     (*nodes)[node_index].value = static_cast<double>(majority);
     return node_index;
   }
 
-  std::tuple<int, double, double> FindSplit(
-      const std::vector<size_t>& rows, const std::vector<double>& counts) {
-    const double total = static_cast<double>(rows.size());
+  Split FindSplit(size_t begin, size_t end,
+                  const std::vector<double>& counts) {
+    const size_t count = end - begin;
+    const double total = static_cast<double>(count);
     const double parent_gini = Gini(counts, total);
-    int best_feature = -1;
-    double best_threshold = 0.0;
-    double best_gain = 0.0;
-    std::vector<int> features =
-        SampleFeatures(x->cols, params.max_features, rng);
-    std::vector<std::pair<double, size_t>> sorted;
+    Split best;
     std::vector<double> left_counts(num_classes, 0.0);
+    std::vector<double> right_counts(num_classes, 0.0);
     const size_t min_leaf = static_cast<size_t>(params.min_samples_leaf);
-    for (int f : features) {
-      sorted.clear();
-      for (size_t r : rows) sorted.emplace_back(x->At(r, f), r);
-      std::sort(sorted.begin(), sorted.end());
-      if (sorted.front().first == sorted.back().first) continue;
+    for (int f : SampleFeatures(x->cols, params.max_features, rng)) {
+      if (count < 2) continue;
+      const uint32_t* sorted = lists->Sorted(f) + begin;
+      const double lo = x->At(sorted[0], f);
+      const double hi = x->At(sorted[count - 1], f);
+      if (lo == hi) continue;
       std::fill(left_counts.begin(), left_counts.end(), 0.0);
       if (params.random_thresholds) {
-        double threshold =
-            rng->Uniform(sorted.front().first, sorted.back().first);
+        double threshold = rng->Uniform(lo, hi);
         double left_total = 0.0;
-        for (const auto& [v, r] : sorted) {
-          if (v <= threshold) {
-            left_counts[static_cast<size_t>((*y)[r])] += 1.0;
-            left_total += 1.0;
-          }
+        for (size_t i = 0; i < count && x->At(sorted[i], f) <= threshold;
+             ++i) {
+          left_counts[static_cast<size_t>((*y)[sorted[i]])] += 1.0;
+          left_total += 1.0;
         }
         if (left_total < static_cast<double>(min_leaf) ||
             total - left_total < static_cast<double>(min_leaf)) {
           continue;
         }
-        std::vector<double> right_counts(num_classes);
         for (int c = 0; c < num_classes; ++c) {
           right_counts[c] = counts[c] - left_counts[c];
         }
@@ -270,17 +316,16 @@ struct GiniBuilder {
                       (left_total / total) * Gini(left_counts, left_total) -
                       ((total - left_total) / total) *
                           Gini(right_counts, total - left_total);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = f;
-          best_threshold = threshold;
-        }
+        if (gain > best.gain) best = {f, threshold, gain};
       } else {
         double left_total = 0.0;
-        for (size_t i = 0; i + 1 < sorted.size(); ++i) {
-          left_counts[static_cast<size_t>((*y)[sorted[i].second])] += 1.0;
+        double next = lo;
+        for (size_t i = 0; i + 1 < count; ++i) {
+          left_counts[static_cast<size_t>((*y)[sorted[i]])] += 1.0;
           left_total += 1.0;
-          if (sorted[i].first == sorted[i + 1].first) continue;
+          const double value = next;
+          next = x->At(sorted[i + 1], f);
+          if (value == next) continue;
           if (left_total < static_cast<double>(min_leaf) ||
               total - left_total < static_cast<double>(min_leaf)) {
             continue;
@@ -288,55 +333,66 @@ struct GiniBuilder {
           double right_total = total - left_total;
           double left_gini = Gini(left_counts, left_total);
           double right_gini = 1.0;
-          {
-            double g = 1.0;
-            for (int c = 0; c < num_classes; ++c) {
-              double p = (counts[c] - left_counts[c]) / right_total;
-              g -= p * p;
-            }
-            right_gini = g;
+          for (int c = 0; c < num_classes; ++c) {
+            double p = (counts[c] - left_counts[c]) / right_total;
+            right_gini -= p * p;
           }
           double gain = parent_gini -
                         (left_total / total) * left_gini -
                         (right_total / total) * right_gini;
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_feature = f;
-            best_threshold =
-                0.5 * (sorted[i].first + sorted[i + 1].first);
-          }
+          if (gain > best.gain) best = {f, 0.5 * (value + next), gain};
         }
       }
     }
-    return {best_feature, best_threshold, best_gain};
+    return best;
   }
 };
 
 }  // namespace
 
-Tree FitGradientTree(const FeatureMatrix& x, const std::vector<double>& grad,
+FeatureOrder SortFeatures(const FeatureMatrix& x) {
+  KGPIP_CHECK(x.rows <= std::numeric_limits<uint32_t>::max());
+  FeatureOrder order;
+  order.rows = x.rows;
+  order.index.resize(x.rows * x.cols);
+  std::vector<std::pair<double, uint32_t>> column(x.rows);
+  for (size_t f = 0; f < x.cols; ++f) {
+    for (size_t r = 0; r < x.rows; ++r) {
+      column[r] = {x.At(r, f), static_cast<uint32_t>(r)};
+    }
+    std::sort(column.begin(), column.end());
+    uint32_t* out = order.index.data() + f * x.rows;
+    for (const auto& [value, r] : column) *out++ = r;
+  }
+  return order;
+}
+
+Tree FitGradientTree(const FeatureMatrix& x, const FeatureOrder& order,
+                     const std::vector<double>& grad,
                      const std::vector<double>& hess,
                      const std::vector<size_t>& rows,
                      const TreeParams& params, Rng* rng) {
   KGPIP_CHECK(grad.size() == x.rows && hess.size() == x.rows);
   Tree tree;
   if (rows.empty()) return tree;
-  GradientBuilder builder{&x, &grad, &hess, params, rng,
-                          &tree.mutable_nodes()};
-  builder.Build(rows, 0);
+  RowLists lists(x, order, rows);
+  GradientBuilder builder{&x,  &grad, &hess, params,
+                          rng, &tree.mutable_nodes(), &lists};
+  builder.Build(0, rows.size(), 0);
   return tree;
 }
 
-Tree FitClassificationTree(const FeatureMatrix& x,
+Tree FitClassificationTree(const FeatureMatrix& x, const FeatureOrder& order,
                            const std::vector<double>& y, int num_classes,
                            const std::vector<size_t>& rows,
                            const TreeParams& params, Rng* rng) {
   KGPIP_CHECK(y.size() == x.rows);
   Tree tree;
   if (rows.empty()) return tree;
-  GiniBuilder builder{&x, &y, num_classes, params, rng,
-                      &tree.mutable_nodes()};
-  builder.Build(rows, 0);
+  RowLists lists(x, order, rows);
+  GiniBuilder builder{&x,  &y,  num_classes,           params,
+                      rng, &tree.mutable_nodes(), &lists};
+  builder.Build(0, rows.size(), 0);
   return tree;
 }
 
@@ -356,9 +412,10 @@ Status DecisionTreeLearner::Fit(const LabeledData& data) {
   if (data.rows() == 0) return Status::InvalidArgument("empty dataset");
   std::vector<size_t> rows(data.rows());
   std::iota(rows.begin(), rows.end(), 0);
+  const FeatureOrder order = SortFeatures(data.x);
   if (IsClassification(task_)) {
-    tree_ = FitClassificationTree(data.x, data.y, data.num_classes, rows,
-                                  tree_params_, &rng_);
+    tree_ = FitClassificationTree(data.x, order, data.y, data.num_classes,
+                                  rows, tree_params_, &rng_);
   } else {
     // Least-squares regression tree: g = -y, h = 1 gives mean leaves.
     std::vector<double> grad(data.rows());
@@ -366,7 +423,7 @@ Status DecisionTreeLearner::Fit(const LabeledData& data) {
     for (size_t i = 0; i < data.rows(); ++i) grad[i] = -data.y[i];
     TreeParams p = tree_params_;
     p.lambda = 0.0;
-    tree_ = FitGradientTree(data.x, grad, hess, rows, p, &rng_);
+    tree_ = FitGradientTree(data.x, order, grad, hess, rows, p, &rng_);
   }
   fitted_ = true;
   return Status::Ok();

@@ -1,6 +1,7 @@
 #ifndef KGPIP_ML_TREE_H_
 #define KGPIP_ML_TREE_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -45,18 +46,33 @@ class Tree {
   std::vector<TreeNode> nodes_;
 };
 
+/// Every feature's rows sorted by (value, row), computed once per learner
+/// fit and shared read-only by every tree that fit grows (the presorted
+/// column layout of XGBoost's exact greedy split finder).
+struct FeatureOrder {
+  size_t rows = 0;
+  /// Feature f's sorted rows are index[f * rows, (f + 1) * rows).
+  std::vector<uint32_t> index;
+
+  const uint32_t* Column(size_t f) const { return index.data() + f * rows; }
+};
+
+FeatureOrder SortFeatures(const FeatureMatrix& x);
+
 /// Fits a gradient tree in the XGBoost formulation: each row carries a
 /// gradient g_i and hessian h_i; leaves predict -sum(g)/(sum(h)+lambda) and
 /// splits maximize the matching gain. With g = -(residual) and h = 1 this
 /// reduces to a plain least-squares regression tree predicting the mean.
-Tree FitGradientTree(const FeatureMatrix& x, const std::vector<double>& grad,
+/// `order` must be SortFeatures(x); `rows` may repeat a row (bootstrap).
+Tree FitGradientTree(const FeatureMatrix& x, const FeatureOrder& order,
+                     const std::vector<double>& grad,
                      const std::vector<double>& hess,
                      const std::vector<size_t>& rows,
                      const TreeParams& params, Rng* rng);
 
 /// Fits a Gini-impurity classification tree whose leaves predict the
-/// majority class index.
-Tree FitClassificationTree(const FeatureMatrix& x,
+/// majority class index. `order` and `rows` as for FitGradientTree.
+Tree FitClassificationTree(const FeatureMatrix& x, const FeatureOrder& order,
                            const std::vector<double>& y, int num_classes,
                            const std::vector<size_t>& rows,
                            const TreeParams& params, Rng* rng);

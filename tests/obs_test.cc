@@ -17,6 +17,7 @@
 
 #include "core/kgpip.h"
 #include "data/synthetic.h"
+#include "ml/learner.h"
 #include "obs/metrics.h"
 #include "obs/sliding_window.h"
 #include "obs/stage_profile.h"
@@ -444,6 +445,35 @@ TEST_F(TracerTest, ChromeJsonRoundTripsThroughUtilJson) {
   EXPECT_EQ(spans, 2u);
   EXPECT_TRUE(names.count("kgpip.fit"));
   EXPECT_TRUE(names.count("hpo.trial"));
+}
+
+TEST_F(TracerTest, TrialSpansCarryTheirLearner) {
+  DatasetSpec spec;
+  spec.name = "obs_trial_learner";
+  spec.rows = 160;
+  spec.num_numeric = 5;
+  Table table = GenerateDataset(spec);
+
+  obs::Tracer::Global().Enable();
+  core::Kgpip kgpip;
+  auto result = kgpip.Fit(table, TaskType::kBinaryClassification,
+                          hpo::Budget(4, 1e9), 23);
+  obs::Tracer::Global().Disable();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  std::set<std::string> registry;
+  for (const auto& info : ml::LearnerRegistry()) registry.insert(info.name);
+  size_t trials = 0;
+  for (const obs::TraceEvent& e : obs::Tracer::Global().Snapshot()) {
+    if (e.name != "hpo.trial") continue;
+    ++trials;
+    std::string learner;
+    for (const auto& [key, value] : e.args) {
+      if (key == "learner") learner = value;
+    }
+    EXPECT_TRUE(registry.count(learner)) << "learner '" << learner << "'";
+  }
+  EXPECT_GT(trials, 0u);
 }
 
 TEST_F(TracerTest, CapacityDropsExcessEventsAndCountsThem) {
