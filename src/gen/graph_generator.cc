@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <span>
 
 #include "gen/inference_engine.h"
 #include "nn/fastmath.h"
@@ -47,7 +48,6 @@ GraphGenerator::GraphGenerator(const GeneratorConfig& config, uint64_t seed)
                          &init_rng_);
   add_edge_ = nn::Linear(&store_, "add_edge", 2 * h, 1, &init_rng_);
   choose_node_ = nn::Linear(&store_, "choose_node", 2 * h, 1, &init_rng_);
-  optimizer_ = std::make_unique<nn::Adam>(&store_, config_.learning_rate);
 }
 
 Var GraphGenerator::Propagate(
@@ -191,26 +191,54 @@ double GraphGenerator::TrainEpoch(const std::vector<GraphExample>& examples,
   static obs::Counter* epochs = metrics.GetCounter("gen.train_epochs");
   static obs::Histogram* epoch_seconds =
       metrics.GetHistogram("gen.train_epoch_seconds");
+  static obs::Histogram* step_seconds =
+      metrics.GetHistogram("gen.train_step_seconds");
   static obs::Gauge* loss_gauge = metrics.GetGauge("gen.train_loss");
   Stopwatch watch;
-  std::vector<size_t> order = rng->Permutation(examples.size());
-  double mean_loss = 0.0;
-  if (config_.batch_size <= 1) {
-    // Classic per-example SGD: loss → backward → step, one example at a
-    // time. Inherently sequential (each step changes the weights the
-    // next example sees), so it stays on the calling thread.
-    double total_loss = 0.0;
-    for (size_t idx : order) {
-      int decisions = 0;
-      Var loss = SequenceLoss(examples[idx], &decisions);
-      total_loss += loss.value()(0, 0);
-      nn::Backward(loss);
-      optimizer_->Step();
-    }
-    mean_loss = total_loss / static_cast<double>(examples.size());
-  } else {
-    mean_loss = TrainEpochBatched(examples, order);
+  const std::vector<size_t> order = rng->Permutation(examples.size());
+  // Built on first use: replicas and inference-only models never step,
+  // so they carry no optimizer state.
+  if (optimizer_ == nullptr) {
+    optimizer_ = std::make_unique<nn::Adam>(&store_, config_.learning_rate);
   }
+  util::ThreadPool& pool = util::ThreadPool::Global();
+  // One replica per lane: a lane processes its batch items serially on
+  // its own weight copy, so per-example graphs never share mutable
+  // state. Replicas are built lazily and reused across epochs.
+  while (replicas_.size() < static_cast<size_t>(pool.num_lanes())) {
+    replicas_.push_back(
+        {std::make_unique<GraphGenerator>(config_, /*seed=*/0), 0});
+  }
+  const size_t batch = static_cast<size_t>(std::max(1, config_.batch_size));
+  grad_slots_.resize(batch);
+  std::vector<double> losses(batch, 0.0);
+  double total_loss = 0.0;
+  for (size_t start = 0; start < order.size(); start += batch) {
+    const size_t count = std::min(batch, order.size() - start);
+    pool.ParallelFor(count, [&](size_t b, size_t lane) {
+      Replica& replica = replicas_[lane];
+      // The master's weights only change between batches, so a lane
+      // refreshes its replica at its first item of the batch.
+      if (replica.weights_version != weights_version_) {
+        replica.model->CopyWeightsFrom(*this);
+        replica.weights_version = weights_version_;
+      }
+      int decisions = 0;
+      Var loss =
+          replica.model->SequenceLoss(examples[order[start + b]], &decisions);
+      losses[b] = loss.value()(0, 0);
+      nn::Backward(loss);
+      replica.model->store_.TakeGrads(&grad_slots_[b]);
+    });
+    for (size_t b = 0; b < count; ++b) total_loss += losses[b];
+    Stopwatch step_watch;
+    optimizer_->Step(std::span(grad_slots_.data(), count));
+    ++weights_version_;
+    step_seconds->Record(step_watch.ElapsedSeconds());
+  }
+  // Gradients never outlive an epoch (Generate and LogProb need none).
+  grad_slots_.clear();
+  const double mean_loss = total_loss / static_cast<double>(examples.size());
   epochs->Increment();
   epoch_seconds->Record(watch.ElapsedSeconds());
   loss_gauge->Set(mean_loss);
@@ -225,55 +253,6 @@ void GraphGenerator::CopyWeightsFrom(const GraphGenerator& other) {
     Var param = dst[i];  // cheap handle; shares the underlying node
     param.mutable_value() = src[i].value();
   }
-}
-
-double GraphGenerator::TrainEpochBatched(
-    const std::vector<GraphExample>& examples,
-    const std::vector<size_t>& order) {
-  util::ThreadPool& pool = util::ThreadPool::Global();
-  // One replica per lane: a lane processes its batch items serially on
-  // its own weight copy, so per-example graphs never share mutable
-  // state. Replicas are built lazily and reused across epochs.
-  while (replicas_.size() < static_cast<size_t>(pool.num_lanes())) {
-    replicas_.push_back(
-        std::make_unique<GraphGenerator>(config_, /*seed=*/0));
-  }
-  const size_t batch = static_cast<size_t>(config_.batch_size);
-  const std::vector<Var>& params = store_.params();
-  double total_loss = 0.0;
-  for (size_t start = 0; start < order.size(); start += batch) {
-    const size_t count = std::min(batch, order.size() - start);
-    for (auto& replica : replicas_) replica->CopyWeightsFrom(*this);
-    std::vector<double> losses(count, 0.0);
-    std::vector<std::vector<nn::Matrix>> grads(count);
-    pool.ParallelFor(count, [&](size_t b, size_t lane) {
-      GraphGenerator& replica = *replicas_[lane];
-      int decisions = 0;
-      Var loss = replica.SequenceLoss(examples[order[start + b]], &decisions);
-      losses[b] = loss.value()(0, 0);
-      nn::Backward(loss);
-      // Snapshot this example's gradients, then clear the replica for
-      // the lane's next item. Params a loss never touched keep an empty
-      // grad matrix; the accumulation below skips those.
-      const std::vector<Var>& replica_params = replica.store_.params();
-      grads[b].reserve(replica_params.size());
-      for (const Var& p : replica_params) grads[b].push_back(p.grad());
-      replica.store_.ZeroGrads();
-    });
-    // Accumulate in example order so the summed gradient is one fixed
-    // floating-point expression, then take a single Adam step.
-    store_.ZeroGrads();
-    for (size_t b = 0; b < count; ++b) {
-      total_loss += losses[b];
-      for (size_t p = 0; p < params.size(); ++p) {
-        if (grads[b][p].empty()) continue;
-        Var param = params[p];
-        param.node()->grad.AddInPlace(grads[b][p]);
-      }
-    }
-    optimizer_->Step();
-  }
-  return total_loss / static_cast<double>(examples.size());
 }
 
 double GraphGenerator::LogProb(const GraphExample& example) const {
@@ -545,6 +524,7 @@ Status GraphGenerator::LoadWeights(const Json& json) {
     return Status::InvalidArgument(
         "generator config mismatch; construct with matching config");
   }
+  ++weights_version_;  // replicas must re-sync even on a failed load
   return store_.FromJson(json.Get("weights"));
 }
 

@@ -29,11 +29,10 @@ struct GeneratorConfig {
   /// copy of the RNG and checks the outputs are identical. Also enabled
   /// by setting the KGPIP_GEN_CROSSCHECK environment variable.
   bool cross_check = false;
-  /// Examples per optimizer step. 1 reproduces the classic per-example
-  /// SGD loop exactly; >1 computes the per-example gradients of each
-  /// minibatch in parallel (data parallelism over model replicas),
-  /// accumulates them in example order, and applies one Adam step —
-  /// bit-identical at any thread count.
+  /// Examples per optimizer step (1 = classic per-example SGD). The
+  /// per-example gradients of a minibatch are computed in parallel (data
+  /// parallelism over model replicas), summed in example order inside
+  /// one Adam step — bit-identical at any thread count.
   int batch_size = 1;
 };
 
@@ -146,11 +145,6 @@ class GraphGenerator {
   /// config). Used to sync per-lane training replicas each minibatch.
   void CopyWeightsFrom(const GraphGenerator& other);
 
-  /// Minibatch path of TrainEpoch: per-example gradients fan out over
-  /// per-lane replicas; accumulation and the Adam step stay ordered.
-  double TrainEpochBatched(const std::vector<GraphExample>& examples,
-                           const std::vector<size_t>& order);
-
   /// Checks a warm engine out of the free list (or builds one when the
   /// list is empty). Pairs with ReleaseEngine; checkout means two
   /// threads can never share decode scratch, no matter how many
@@ -170,9 +164,21 @@ class GraphGenerator {
   GeneratorConfig config_;
   Rng init_rng_;
   nn::ParamStore store_;
-  std::unique_ptr<nn::Adam> optimizer_;
+  std::unique_ptr<nn::Adam> optimizer_;  // lazy: first TrainEpoch
+  /// A lane's training copy of the model and the weights_version_ its
+  /// weights were last copied at.
+  struct Replica {
+    std::unique_ptr<GraphGenerator> model;
+    uint64_t weights_version;
+  };
   /// Lane-indexed model replicas for data-parallel training (lazy).
-  std::vector<std::unique_ptr<GraphGenerator>> replicas_;
+  std::vector<Replica> replicas_;
+  /// Bumped whenever the master weights change (each optimizer step and
+  /// each load); starts at 1 so fresh replicas (version 0) copy first.
+  uint64_t weights_version_ = 1;
+  /// grad_slots_[b] receives batch item b's gradients (hand-off by swap,
+  /// see ParamStore::TakeGrads); buffers are reused across batches.
+  std::vector<std::vector<nn::Matrix>> grad_slots_;
   /// Free list of inference engines (mutable decode scratch), guarded
   /// by engines_mu_. Grows lazily to the peak number of concurrent
   /// decodes and keeps warmed-up caches across calls.

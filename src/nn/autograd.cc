@@ -4,7 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "nn/fastmath.h"
+#include "nn/simd_kernels.h"
 #include "util/logging.h"
 
 namespace kgpip::nn {
@@ -30,6 +30,44 @@ Var MakeOp(Matrix value, std::vector<Var> parents,
   if (any_grad) out.node_->backward = std::move(backward);
   return out;
 }
+
+namespace {
+
+/// This thread's transposes of the matrices the running Backward pass has
+/// fed to GemmNTAccum. One weight feeds many backward GEMMs of a pass (each
+/// GRU gate runs in every propagation round of every decision) and values
+/// never change or move during a pass, so each is packed once per pass.
+/// Buffers are reused across passes: steady state allocates nothing.
+class TransposeMemo {
+ public:
+  void NewPass() { used_ = 0; }
+
+  const double* Transposed(const Matrix& m) {
+    for (size_t e = 0; e < used_; ++e) {
+      if (keys_[e] == &m) return packed_[e].data();
+    }
+    if (used_ == packed_.size()) {
+      keys_.push_back(nullptr);
+      packed_.emplace_back();
+    }
+    keys_[used_] = &m;
+    Matrix& t = packed_[used_++];
+    t.Reshape(m.cols(), m.rows());
+    for (size_t i = 0; i < m.rows(); ++i) {
+      for (size_t j = 0; j < m.cols(); ++j) t(j, i) = m(i, j);
+    }
+    return t.data();
+  }
+
+ private:
+  size_t used_ = 0;
+  std::vector<const Matrix*> keys_;
+  std::vector<Matrix> packed_;
+};
+
+thread_local TransposeMemo t_transposes;
+
+}  // namespace
 
 void Backward(const Var& loss) {
   KGPIP_CHECK(loss.defined());
@@ -58,10 +96,10 @@ void Backward(const Var& loss) {
   }
   // `order` is post-order: parents before children; iterate in reverse.
   for (VarNode* node : order) {
-    node->EnsureGrad();
-    node->grad.Fill(0.0);
+    node->grad.AssignZeros(node->value.rows(), node->value.cols());
   }
   loss.node()->grad(0, 0) = 1.0;
+  t_transposes.NewPass();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     VarNode* node = *it;
     if (node->backward) node->backward(*node);
@@ -76,19 +114,52 @@ Matrix& GradOf(const std::shared_ptr<VarNode>& parent) {
   return parent->grad;
 }
 
+/// Gradients of C = A * B given dC: dA += dC * B^T, then dB += A^T * dC,
+/// each on the dispatched fresh-chain backward kernels.
+void MatMulBackward(const Matrix& dc, const std::shared_ptr<VarNode>& pa,
+                    const std::shared_ptr<VarNode>& pb) {
+  const Matrix& a = pa->value;
+  const Matrix& b = pb->value;
+  const simd::Isa isa = simd::ActiveIsa();
+  if (pa->requires_grad) {
+    simd::GemmNTAccum(isa, dc.data(), t_transposes.Transposed(b),
+                      GradOf(pa).data(), a.rows(), b.cols(), a.cols());
+  }
+  if (pb->requires_grad) {
+    simd::GemmTNAccum(isa, a.data(), dc.data(), GradOf(pb).data(), a.rows(),
+                      a.cols(), b.cols());
+  }
+}
+
 }  // namespace
 
 Var MatMul(const Var& a, const Var& b) {
   Matrix value = Matrix::MatMul(a.value(), b.value());
   return MakeOp(std::move(value), {a, b}, [](VarNode& self) {
-    auto& pa = self.parents[0];
-    auto& pb = self.parents[1];
-    if (pa->requires_grad || pa->backward) {
-      GradOf(pa).AddInPlace(Matrix::MatMulTranspose(self.grad, pb->value));
+    MatMulBackward(self.grad, self.parents[0], self.parents[1]);
+  });
+}
+
+Var Affine(const Var& x, const Var& w, const Var& bias) {
+  KGPIP_CHECK(bias.rows() == 1 && bias.cols() == w.cols());
+  const simd::Isa isa = simd::ActiveIsa();
+  Matrix value = Matrix::MatMul(x.value(), w.value());
+  simd::BiasRows(isa, value.data(), bias.value().data(), value.rows(),
+                 value.cols());
+  return MakeOp(std::move(value), {x, w, bias}, [](VarNode& self) {
+    // b, then x, then w: the order a MatMul node plus a row-broadcast
+    // node above it contribute in (only parameter leaves sit between the
+    // two in reverse topological order), so fusing changes no bits.
+    const auto& pb = self.parents[2];
+    if (pb->requires_grad) {
+      double* bg = GradOf(pb).data();
+      const size_t cols = self.grad.cols();
+      for (size_t i = 0; i < self.grad.rows(); ++i) {
+        const double* row = self.grad.data() + i * cols;
+        for (size_t j = 0; j < cols; ++j) bg[j] += row[j];
+      }
     }
-    if (pb->requires_grad || pb->backward) {
-      GradOf(pb).AddInPlace(Matrix::TransposeMatMul(pa->value, self.grad));
-    }
+    MatMulBackward(self.grad, self.parents[0], self.parents[1]);
   });
 }
 
@@ -99,25 +170,6 @@ Var Add(const Var& a, const Var& b) {
   return MakeOp(std::move(value), {a, b}, [](VarNode& self) {
     GradOf(self.parents[0]).AddInPlace(self.grad);
     GradOf(self.parents[1]).AddInPlace(self.grad);
-  });
-}
-
-Var AddRowBroadcast(const Var& a, const Var& row) {
-  KGPIP_CHECK(row.rows() == 1 && row.cols() == a.cols());
-  Matrix value = a.value();
-  for (size_t i = 0; i < value.rows(); ++i) {
-    for (size_t j = 0; j < value.cols(); ++j) {
-      value(i, j) += row.value()(0, j);
-    }
-  }
-  return MakeOp(std::move(value), {a, row}, [](VarNode& self) {
-    GradOf(self.parents[0]).AddInPlace(self.grad);
-    Matrix& rg = GradOf(self.parents[1]);
-    for (size_t i = 0; i < self.grad.rows(); ++i) {
-      for (size_t j = 0; j < self.grad.cols(); ++j) {
-        rg(0, j) += self.grad(i, j);
-      }
-    }
   });
 }
 
@@ -159,9 +211,8 @@ Var Scale(const Var& a, double s) {
 
 Var Sigmoid(const Var& a) {
   Matrix value = a.value();
-  for (size_t i = 0; i < value.size(); ++i) {
-    value.data()[i] = FastSigmoid(value.data()[i]);
-  }
+  // The dispatched kernel is FastSigmoid lane by lane (bit-identical).
+  simd::SigmoidN(simd::ActiveIsa(), value.data(), value.size());
   return MakeOp(std::move(value), {a}, [](VarNode& self) {
     Matrix& g = GradOf(self.parents[0]);
     for (size_t i = 0; i < self.grad.size(); ++i) {
@@ -173,9 +224,7 @@ Var Sigmoid(const Var& a) {
 
 Var Tanh(const Var& a) {
   Matrix value = a.value();
-  for (size_t i = 0; i < value.size(); ++i) {
-    value.data()[i] = FastTanh(value.data()[i]);
-  }
+  simd::TanhN(simd::ActiveIsa(), value.data(), value.size());
   return MakeOp(std::move(value), {a}, [](VarNode& self) {
     Matrix& g = GradOf(self.parents[0]);
     for (size_t i = 0; i < self.grad.size(); ++i) {

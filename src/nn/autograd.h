@@ -18,8 +18,10 @@ struct VarNode {
   /// Accumulates gradients into the parents given this node's grad.
   std::function<void(VarNode&)> backward;
 
+  /// Sizes `grad` to zeros of value's shape unless it already has it
+  /// (reusing a handed-back buffer's capacity; see ParamStore::TakeGrads).
   void EnsureGrad() {
-    if (!grad.SameShape(value)) grad = Matrix(value.rows(), value.cols());
+    if (!grad.SameShape(value)) grad.AssignZeros(value.rows(), value.cols());
   }
 };
 
@@ -64,8 +66,11 @@ void Backward(const Var& loss);
 // ---- Ops -------------------------------------------------------------
 
 Var MatMul(const Var& a, const Var& b);
+/// x * w + bias (bias is 1 x cols(w), added to every row) as ONE node: the
+/// forward is the dispatched GEMM plus bias kernel; the backward adds the
+/// bias gradient (rows ascending), then dx, then dw.
+Var Affine(const Var& x, const Var& w, const Var& bias);
 Var Add(const Var& a, const Var& b);            // same shape
-Var AddRowBroadcast(const Var& a, const Var& row);  // row is 1 x d
 Var Sub(const Var& a, const Var& b);
 Var Mul(const Var& a, const Var& b);            // elementwise
 Var Scale(const Var& a, double s);

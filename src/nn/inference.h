@@ -26,7 +26,7 @@ enum class Activation { kNone, kTanh, kSigmoid };
 
 /// out = act(x * w + b), where `b` is a 1 x cols bias row broadcast over
 /// every output row. Bit-identical to
-/// `Act(AddRowBroadcast(MatMul(x, w), b)).value()` on the tape path.
+/// `Act(Affine(x, w, b)).value()` on the tape path.
 /// `out` must not alias `x`, `w`, or `b`; its storage is reused (no
 /// allocation when its capacity already fits the result).
 void FusedLinear(const Matrix& x, const Matrix& w, const Matrix& b,

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
+#include "nn/simd_kernels.h"
 #include "util/logging.h"
 
 namespace kgpip::nn {
@@ -15,8 +17,18 @@ Var ParamStore::Create(const std::string& name, size_t rows, size_t cols,
   return param;
 }
 
-void ParamStore::ZeroGrads() {
-  for (Var& p : params_) p.ZeroGrad();
+void ParamStore::TakeGrads(std::vector<Matrix>* grads) {
+  grads->resize(params_.size());
+  for (size_t i = 0; i < params_.size(); ++i) {
+    VarNode& node = *params_[i].node();
+    Matrix& slot = (*grads)[i];
+    if (node.grad.SameShape(node.value)) {
+      std::swap(node.grad, slot);
+      node.grad.Reshape(0, 0);
+    } else {
+      slot.Reshape(0, 0);  // not reached by Backward
+    }
+  }
 }
 
 size_t ParamStore::TotalSize() const {
@@ -72,7 +84,7 @@ Linear::Linear(ParamStore* store, const std::string& name, size_t in,
 }
 
 Var Linear::Forward(const Var& x) const {
-  return AddRowBroadcast(MatMul(x, weight_), bias_);
+  return Affine(x, weight_, bias_);
 }
 
 void Linear::ForwardValue(const Matrix& x, Matrix* out, Activation act) const {
@@ -157,46 +169,51 @@ Adam::Adam(ParamStore* store, double lr, double beta1, double beta2,
   for (const Var& p : store_->params()) {
     m_.emplace_back(p.value().rows(), p.value().cols());
     v_.emplace_back(p.value().rows(), p.value().cols());
+    sum_.emplace_back(p.value().rows(), p.value().cols());
   }
 }
 
-void Adam::Step(double clip) {
-  KGPIP_CHECK(m_.size() == store_->params().size())
+void Adam::Step(std::span<const std::vector<Matrix>> grads, double clip) {
+  const std::vector<Var>& params = store_->params();
+  KGPIP_CHECK(m_.size() == params.size())
       << "parameters registered after optimizer construction";
   ++t_;
-  // Global-norm gradient clipping.
-  double scale = 1.0;
+  const simd::Isa isa = simd::ActiveIsa();
+  // Example-ordered sum, then the global norm as one serial chain over
+  // parameters and elements in order.
+  double norm_sq = 0.0;
+  for (size_t i = 0; i < params.size(); ++i) {
+    srcs_.clear();
+    for (const std::vector<Matrix>& example : grads) {
+      KGPIP_CHECK(example.size() == params.size());
+      const Matrix& g = example[i];
+      if (g.empty()) continue;
+      KGPIP_CHECK(g.SameShape(sum_[i]));
+      srcs_.push_back(g.data());
+    }
+    norm_sq = simd::SumSquaresN(isa, srcs_.data(), srcs_.size(),
+                                sum_[i].data(), sum_[i].size(), norm_sq);
+  }
+  simd::AdamCoeffs c{};
+  c.scale = 1.0;
   if (clip > 0.0) {
-    double norm_sq = 0.0;
-    for (const Var& p : store_->params()) {
-      const Matrix& g = p.grad();
-      if (g.size() != p.value().size()) continue;
-      for (size_t k = 0; k < g.size(); ++k) {
-        norm_sq += g.data()[k] * g.data()[k];
-      }
-    }
-    double norm = std::sqrt(norm_sq);
-    if (norm > clip) scale = clip / norm;
+    const double norm = std::sqrt(norm_sq);
+    if (norm > clip) c.scale = clip / norm;
   }
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (size_t i = 0; i < store_->params().size(); ++i) {
-    Var p = store_->params()[i];
+  c.beta1 = beta1_;
+  c.beta2 = beta2_;
+  c.one_minus_beta1 = 1.0 - beta1_;
+  c.one_minus_beta2 = 1.0 - beta2_;
+  c.bias_correction1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  c.bias_correction2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  c.lr = lr_;
+  c.eps = eps_;
+  for (size_t i = 0; i < params.size(); ++i) {
+    Var p = params[i];
     Matrix& value = p.mutable_value();
-    const Matrix& grad = p.grad();
-    if (grad.size() != value.size()) continue;  // never touched this step
-    for (size_t k = 0; k < value.size(); ++k) {
-      double g = grad.data()[k] * scale;
-      double& m = m_[i].data()[k];
-      double& v = v_[i].data()[k];
-      m = beta1_ * m + (1.0 - beta1_) * g;
-      v = beta2_ * v + (1.0 - beta2_) * g * g;
-      double m_hat = m / bc1;
-      double v_hat = v / bc2;
-      value.data()[k] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-    }
+    simd::AdamUpdateN(isa, c, sum_[i].data(), value.data(), m_[i].data(),
+                      v_[i].data(), value.size());
   }
-  store_->ZeroGrads();
 }
 
 }  // namespace kgpip::nn

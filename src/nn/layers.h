@@ -1,6 +1,7 @@
 #ifndef KGPIP_NN_LAYERS_H_
 #define KGPIP_NN_LAYERS_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,12 @@ class ParamStore {
   /// All registered parameters in registration order.
   const std::vector<Var>& params() const { return params_; }
 
-  void ZeroGrads();
+  /// Hands every parameter's gradient over to (*grads)[i] by swap. The
+  /// parameter keeps the buffer that was in (*grads)[i], emptied to 0 x 0
+  /// with its capacity intact: the next Backward re-zeroes it without
+  /// allocating if it reaches the parameter, and otherwise the next
+  /// hand-over passes an empty matrix (Adam::Step reads it as zero).
+  void TakeGrads(std::vector<Matrix>* grads);
 
   /// Total number of scalar parameters.
   size_t TotalSize() const;
@@ -114,9 +120,13 @@ class Adam {
   explicit Adam(ParamStore* store, double lr = 1e-3, double beta1 = 0.9,
                 double beta2 = 0.999, double eps = 1e-8);
 
-  /// Applies one update from the accumulated gradients, then zeroes them.
-  /// Gradients are clipped to a global norm of `clip` first (0 = off).
-  void Step(double clip = 5.0);
+  /// Applies one update from a minibatch of per-example gradients:
+  /// grads[b][i] is example b's gradient of parameter i (from
+  /// ParamStore::TakeGrads; empty = untouched). Per element the gradient
+  /// is summed in example order, ((+0 + g0) + g1) + ..., then clipped to
+  /// a global norm of `clip` (0 = off; the norm is one serial chain in
+  /// parameter order) and applied by the vectorized update kernel.
+  void Step(std::span<const std::vector<Matrix>> grads, double clip = 5.0);
 
   void set_learning_rate(double lr) { lr_ = lr; }
   double learning_rate() const { return lr_; }
@@ -130,6 +140,8 @@ class Adam {
   int64_t t_ = 0;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
+  std::vector<Matrix> sum_;  // this step's summed gradients
+  std::vector<const double*> srcs_;  // scratch: one parameter's sources
 };
 
 }  // namespace kgpip::nn

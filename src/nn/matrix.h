@@ -2,6 +2,7 @@
 #define KGPIP_NN_MATRIX_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -16,6 +17,24 @@ class Matrix {
   Matrix() = default;
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+
+  Matrix(const Matrix&) = default;
+  Matrix& operator=(const Matrix&) = default;
+  /// A moved-from matrix is 0 x 0: the shape always describes `data_`,
+  /// so SameShape() can never vouch for a buffer that was taken away.
+  Matrix(Matrix&& other) noexcept
+      : rows_(std::exchange(other.rows_, 0)),
+        cols_(std::exchange(other.cols_, 0)),
+        data_(std::move(other.data_)) {}
+  Matrix& operator=(Matrix&& other) noexcept {
+    if (this != &other) {
+      rows_ = std::exchange(other.rows_, 0);
+      cols_ = std::exchange(other.cols_, 0);
+      data_ = std::move(other.data_);
+      other.data_.clear();
+    }
+    return *this;
+  }
 
   /// Xavier/Glorot-scaled random initialization.
   static Matrix Randn(size_t rows, size_t cols, Rng* rng);
@@ -35,6 +54,13 @@ class Matrix {
     rows_ = rows;
     cols_ = cols;
     data_.resize(rows * cols);
+  }
+
+  /// Becomes `rows` x `cols` of zeros, reusing the existing capacity.
+  void AssignZeros(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, 0.0);
   }
 
   /// Preallocates backing storage without changing the logical shape.
@@ -70,11 +96,6 @@ class Matrix {
   /// accumulated by the same blocked kernel as MatMul, so results are
   /// bit-identical). `out` must not alias `a` or `b`.
   static void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
-  /// C = A^T * B.
-  static Matrix TransposeMatMul(const Matrix& a, const Matrix& b);
-  /// C = A * B^T.
-  static Matrix MatMulTranspose(const Matrix& a, const Matrix& b);
-
   Matrix Transposed() const;
 
  private:

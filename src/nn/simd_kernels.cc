@@ -1,6 +1,7 @@
 #include "nn/simd_kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -75,6 +76,53 @@ void BiasScalar(double* c, const double* bias, size_t rows, size_t cols) {
   for (size_t i = 0; i < rows; ++i) {
     double* row = c + i * cols;
     for (size_t j = 0; j < cols; ++j) row[j] += bias[j];
+  }
+}
+
+// The backward GEMMs' reference: C(rows x bc) += A * B, one fresh chain
+// per element; A(i, k) = a[i * a_rs + k * a_cs]. A row's chains are
+// blocked into a stack buffer so the j loop stays contiguous.
+void GemmFreshScalar(const double* a, size_t a_rs, size_t a_cs,
+                     const double* b, double* c, size_t rows, size_t ac,
+                     size_t bc, bool skip_zeros) {
+  constexpr size_t kBlock = 64;
+  double acc[kBlock];
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t jj = 0; jj < bc; jj += kBlock) {
+      const size_t jn = bc - jj < kBlock ? bc - jj : kBlock;
+      for (size_t j = 0; j < jn; ++j) acc[j] = 0.0;
+      for (size_t k = 0; k < ac; ++k) {
+        const double aik = a[i * a_rs + k * a_cs];
+        if (skip_zeros && aik == 0.0) continue;
+        const double* __restrict brow = b + k * bc + jj;
+        for (size_t j = 0; j < jn; ++j) acc[j] += aik * brow[j];
+      }
+      double* __restrict crow = c + i * bc + jj;
+      for (size_t j = 0; j < jn; ++j) crow[j] += acc[j];
+    }
+  }
+}
+
+double SumSquaresScalar(const double* const* srcs, size_t count, double* out,
+                        size_t n, double norm_sq) {
+  for (size_t i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (size_t s = 0; s < count; ++s) acc += srcs[s][i];
+    out[i] = acc;
+    norm_sq += acc * acc;
+  }
+  return norm_sq;
+}
+
+void AdamUpdateScalar(const AdamCoeffs& c, const double* grad, double* value,
+                      double* m, double* v, size_t n) {
+  for (size_t k = 0; k < n; ++k) {
+    const double g = grad[k] * c.scale;
+    m[k] = c.beta1 * m[k] + c.one_minus_beta1 * g;
+    v[k] = c.beta2 * v[k] + c.one_minus_beta2 * g * g;
+    const double m_hat = m[k] / c.bias_correction1;
+    const double v_hat = v[k] / c.bias_correction2;
+    value[k] -= c.lr * m_hat / (std::sqrt(v_hat) + c.eps);
   }
 }
 
@@ -270,6 +318,80 @@ void BiasRows(Isa isa, double* c, const double* bias, size_t rows,
 #endif
     default:
       BiasScalar(c, bias, rows, cols);
+      return;
+  }
+}
+
+void GemmTNAccum(Isa isa, const double* x, const double* g, double* dw,
+                 size_t n, size_t in, size_t out) {
+  switch (isa) {
+#if defined(KGPIP_SIMD_HAVE_AVX512)
+    case Isa::kAvx512:
+      detail::GemmTNAccumAvx512(x, g, dw, n, in, out);
+      return;
+#endif
+#if defined(KGPIP_SIMD_HAVE_AVX2)
+    case Isa::kAvx2:
+      detail::GemmTNAccumAvx2(x, g, dw, n, in, out);
+      return;
+#endif
+    default:
+      // A = x^T read in place: A(i, k) = x[k * in + i].
+      GemmFreshScalar(x, 1, in, g, dw, in, n, out, /*skip_zeros=*/true);
+      return;
+  }
+}
+
+void GemmNTAccum(Isa isa, const double* g, const double* wt, double* dx,
+                 size_t n, size_t out, size_t in) {
+  switch (isa) {
+#if defined(KGPIP_SIMD_HAVE_AVX512)
+    case Isa::kAvx512:
+      detail::GemmNTAccumAvx512(g, wt, dx, n, out, in);
+      return;
+#endif
+#if defined(KGPIP_SIMD_HAVE_AVX2)
+    case Isa::kAvx2:
+      detail::GemmNTAccumAvx2(g, wt, dx, n, out, in);
+      return;
+#endif
+    default:
+      GemmFreshScalar(g, out, 1, wt, dx, n, out, in, /*skip_zeros=*/false);
+      return;
+  }
+}
+
+double SumSquaresN(Isa isa, const double* const* srcs, size_t count,
+                   double* out, size_t n, double norm_sq) {
+  switch (isa) {
+#if defined(KGPIP_SIMD_HAVE_AVX512)
+    case Isa::kAvx512:
+      return detail::SumSquaresAvx512(srcs, count, out, n, norm_sq);
+#endif
+#if defined(KGPIP_SIMD_HAVE_AVX2)
+    case Isa::kAvx2:
+      return detail::SumSquaresAvx2(srcs, count, out, n, norm_sq);
+#endif
+    default:
+      return SumSquaresScalar(srcs, count, out, n, norm_sq);
+  }
+}
+
+void AdamUpdateN(Isa isa, const AdamCoeffs& c, const double* grad,
+                 double* value, double* m, double* v, size_t n) {
+  switch (isa) {
+#if defined(KGPIP_SIMD_HAVE_AVX512)
+    case Isa::kAvx512:
+      detail::AdamUpdateAvx512(c, grad, value, m, v, n);
+      return;
+#endif
+#if defined(KGPIP_SIMD_HAVE_AVX2)
+    case Isa::kAvx2:
+      detail::AdamUpdateAvx2(c, grad, value, m, v, n);
+      return;
+#endif
+    default:
+      AdamUpdateScalar(c, grad, value, m, v, n);
       return;
   }
 }

@@ -6,7 +6,8 @@
 
 namespace kgpip::nn::simd {
 
-/// Hand-written SIMD micro-kernels for the serve-path linear algebra.
+/// Hand-written SIMD micro-kernels for the serve-path and training-path
+/// linear algebra.
 ///
 /// Three implementations of every kernel — scalar reference, AVX2
 /// intrinsics, AVX-512F intrinsics — all producing **byte-identical**
@@ -72,10 +73,57 @@ Isa RefreshIsaFromEnv();
 void GemmRows(Isa isa, const double* a, const double* b, double* c,
               size_t rows, size_t ac, size_t bc);
 
-/// row[j] += bias[j] for every row of C (the AddRowBroadcast tail of a
-/// fused linear layer).
+/// row[j] += bias[j] for every row of C (the bias tail of a fused linear
+/// layer).
 void BiasRows(Isa isa, double* c, const double* bias, size_t rows,
               size_t cols);
+
+/// Backward GEMMs of the autograd tape (the gradients of C = X * W).
+/// Each output element is a *fresh* chain: it starts at +0, adds its
+/// products over ascending k, and is added to the destination once —
+/// exactly `dst.AddInPlace(product into a zeroed temporary)`, without the
+/// temporary. Neither allocates.
+///
+/// dw(in x out) += x(n x in)^T * g(n x out). Zero x coefficients are
+/// skipped, like the forward GEMM: a zero input contributes nothing even
+/// against a non-finite gradient.
+void GemmTNAccum(Isa isa, const double* x, const double* g, double* dw,
+                 size_t n, size_t in, size_t out);
+
+/// dx(n x in) += g(n x out) * w(in x out)^T, given `wt` = w^T (out x in)
+/// packed by the caller so SIMD lanes map to distinct output columns.
+/// Every product is added (no zero skip: 0 * Inf must stay NaN).
+void GemmNTAccum(Isa isa, const double* g, const double* wt, double* dx,
+                 size_t n, size_t out, size_t in);
+
+/// out[k] = ((+0 + srcs[0][k]) + srcs[1][k]) + ... over `count` sources in
+/// order (count == 0 writes +0), and returns
+/// ((norm_sq + out[0]*out[0]) + out[1]*out[1]) + ... — one serial chain in
+/// k order, interleaved with the sums so the chain's latency hides their
+/// memory traffic. `out` must not alias a source.
+double SumSquaresN(Isa isa, const double* const* srcs, size_t count,
+                   double* out, size_t n, double norm_sq);
+
+/// Step constants of one Adam update (see AdamUpdateN).
+struct AdamCoeffs {
+  double scale;  // global-norm clip factor (1 = unclipped)
+  double beta1;
+  double beta2;
+  double one_minus_beta1;
+  double one_minus_beta2;
+  double bias_correction1;  // 1 - beta1^t
+  double bias_correction2;  // 1 - beta2^t
+  double lr;
+  double eps;
+};
+
+/// One Adam update of n parameters, per element exactly
+///   g = grad * scale;  m = beta1*m + (1-beta1)*g;
+///   v = beta2*v + ((1-beta2)*g)*g;
+///   value -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps).
+/// IEEE div and sqrt round exactly per lane, so every level agrees.
+void AdamUpdateN(Isa isa, const AdamCoeffs& c, const double* grad,
+                 double* value, double* m, double* v, size_t n);
 
 /// In-place elementwise activations over a flat buffer.
 void SigmoidN(Isa isa, double* d, size_t n);

@@ -40,6 +40,7 @@ struct OpsAvx2 {
   static V Sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
   static V Div(V a, V b) { return _mm256_div_pd(a, b); }
+  static V Sqrt(V a) { return _mm256_sqrt_pd(a); }
 
   // x > b ? b : x — ordered-quiet compare: a NaN lane compares false and
   // keeps x, matching the scalar ternary.
@@ -86,6 +87,22 @@ void GemmAvx2(const double* a, const double* b, double* c, size_t rows,
 }
 void BiasAvx2(double* c, const double* bias, size_t rows, size_t cols) {
   K::Bias(c, bias, rows, cols);
+}
+void GemmTNAccumAvx2(const double* x, const double* g, double* dw, size_t n,
+                     size_t in, size_t out) {
+  K::GemmTN(x, g, dw, n, in, out);
+}
+void GemmNTAccumAvx2(const double* g, const double* wt, double* dx, size_t n,
+                     size_t out, size_t in) {
+  K::GemmNT(g, wt, dx, n, out, in);
+}
+double SumSquaresAvx2(const double* const* srcs, size_t count, double* out,
+                      size_t n, double norm_sq) {
+  return K::SumSquares(srcs, count, out, n, norm_sq);
+}
+void AdamUpdateAvx2(const AdamCoeffs& c, const double* grad, double* value,
+                    double* m, double* v, size_t n) {
+  K::AdamUpdate(c, grad, value, m, v, n);
 }
 void SigmoidAvx2(double* d, size_t n) { K::Sigmoid(d, n); }
 void TanhAvx2(double* d, size_t n) { K::Tanh(d, n); }

@@ -1,7 +1,9 @@
 // AVX-512F kernel TU. Built with -mavx512f -ffp-contract=off; only ever
 // entered through the dispatcher after a runtime CPUID check. Bitwise
 // double ops go through si512 (AVX-512F) — the _pd forms need AVX-512DQ,
-// which we do not require.
+// which we do not require. Intrinsics whose plain form GCC implements
+// over _mm512_undefined_* (and so trips -Wmaybe-uninitialized) use the
+// maskz form with an all-ones mask: same instruction, same result.
 
 #include "nn/simd_kernels_isa.h"
 
@@ -18,6 +20,7 @@ struct OpsAvx512 {
   using V = __m512d;
   using MaskT = __mmask8;
   static constexpr size_t kW = 8;
+  static constexpr __mmask8 kAll = 0xff;
 
   static V Load(const double* p) { return _mm512_loadu_pd(p); }
   static void Store(double* p, V v) { _mm512_storeu_pd(p, v); }
@@ -36,6 +39,7 @@ struct OpsAvx512 {
   static V Sub(V a, V b) { return _mm512_sub_pd(a, b); }
   static V Mul(V a, V b) { return _mm512_mul_pd(a, b); }
   static V Div(V a, V b) { return _mm512_div_pd(a, b); }
+  static V Sqrt(V a) { return _mm512_maskz_sqrt_pd(kAll, a); }
 
   // x > b ? b : x — ordered-quiet compare: a NaN lane compares false and
   // keeps x, matching the scalar ternary.
@@ -51,8 +55,8 @@ struct OpsAvx512 {
                                                 _mm512_castpd_si512(b)));
   }
   static V AndNot(V a, V b) {
-    return _mm512_castsi512_pd(_mm512_andnot_si512(_mm512_castpd_si512(a),
-                                                   _mm512_castpd_si512(b)));
+    return _mm512_castsi512_pd(_mm512_maskz_andnot_epi64(
+        kAll, _mm512_castpd_si512(a), _mm512_castpd_si512(b)));
   }
   static V Or(V a, V b) {
     return _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(a),
@@ -67,10 +71,10 @@ struct OpsAvx512 {
   // values, like the scalar static_cast<int>), bias, and place in the
   // exponent field — the same bits FastExp assembles through memcpy.
   static V ExpScale(V kd) {
-    __m256i ki = _mm512_cvttpd_epi32(kd);
+    __m256i ki = _mm512_maskz_cvttpd_epi32(kAll, kd);
     ki = _mm256_add_epi32(ki, _mm256_set1_epi32(1023));
-    __m512i wide = _mm512_cvtepi32_epi64(ki);
-    wide = _mm512_slli_epi64(wide, 52);
+    __m512i wide = _mm512_maskz_cvtepi32_epi64(kAll, ki);
+    wide = _mm512_maskz_slli_epi64(kAll, wide, 52);
     return _mm512_castsi512_pd(wide);
   }
 
@@ -81,11 +85,7 @@ struct OpsAvx512 {
   static V LoadU8(const uint8_t* p) {
     const __m128i bytes =
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-    // maskz form with an all-ones mask: same convert, but GCC's plain
-    // _mm512_cvtepi32_pd routes through _mm512_undefined_pd and trips
-    // -Wmaybe-uninitialized.
-    return _mm512_maskz_cvtepi32_pd(static_cast<__mmask8>(0xff),
-                                    _mm256_cvtepu8_epi32(bytes));
+    return _mm512_maskz_cvtepi32_pd(kAll, _mm256_cvtepu8_epi32(bytes));
   }
 };
 
@@ -99,6 +99,22 @@ void GemmAvx512(const double* a, const double* b, double* c, size_t rows,
 }
 void BiasAvx512(double* c, const double* bias, size_t rows, size_t cols) {
   K::Bias(c, bias, rows, cols);
+}
+void GemmTNAccumAvx512(const double* x, const double* g, double* dw, size_t n,
+                       size_t in, size_t out) {
+  K::GemmTN(x, g, dw, n, in, out);
+}
+void GemmNTAccumAvx512(const double* g, const double* wt, double* dx, size_t n,
+                       size_t out, size_t in) {
+  K::GemmNT(g, wt, dx, n, out, in);
+}
+double SumSquaresAvx512(const double* const* srcs, size_t count, double* out,
+                        size_t n, double norm_sq) {
+  return K::SumSquares(srcs, count, out, n, norm_sq);
+}
+void AdamUpdateAvx512(const AdamCoeffs& c, const double* grad,
+                      double* value, double* m, double* v, size_t n) {
+  K::AdamUpdate(c, grad, value, m, v, n);
 }
 void SigmoidAvx512(double* d, size_t n) { K::Sigmoid(d, n); }
 void TanhAvx512(double* d, size_t n) { K::Tanh(d, n); }

@@ -17,6 +17,11 @@
 //     same k/j tile bounds, ascending k, the a(i,k)==0.0 *skip* (adding
 //     0.0 would flip a -0.0 accumulator to +0.0), and C read/written at
 //     tile boundaries just like the reference's in-memory accumulator.
+//     The backward GEMMs instead start every chain at +0, run it over
+//     the whole k range, and add it to C once; only the dW kind skips
+//     zero coefficients (see Panel).
+//   - The optimizer kernels are one expression per element; the clip
+//     norm's serial chain takes a chunk's squares lane by lane in order.
 //   - The transcendental kernels evaluate FastExp/FastSigmoid/FastTanh
 //     (fastmath.h) as the same straight-line expression over shared
 //     constants; clamps use compare+blend so a NaN lane takes the same
@@ -32,7 +37,7 @@
 //   using V = <vector of kW doubles>;  using MaskT = <lane mask>;
 //   static constexpr size_t kW;
 //   Load/Store (unaligned), MaskLoad (zeroing)/MaskStore, TailMask(n)
-//   Broadcast, Add, Sub, Mul, Div
+//   Broadcast, Add, Sub, Mul, Div, Sqrt
 //   SelGt(x, b) -> x > b ? b : x;  SelLt(x, b) -> x < b ? b : x
 //   And/AndNot/Or/Xor (bitwise on the double pattern)
 //   ExpScale(kd) -> 2^kd via exponent-bit construction (kd integral)
@@ -42,6 +47,7 @@
 #include <cstdint>
 
 #include "nn/fastmath.h"
+#include "nn/simd_kernels.h"
 
 namespace kgpip::nn::simd::detail {
 
@@ -53,25 +59,50 @@ struct Kernels {
 
   // ---- GEMM -------------------------------------------------------------
 
+  // What a GEMM panel computes. All kinds share the k loop and register
+  // blocking; `lda` is A's leading dimension.
+  //   kForward: C += A * B with A(i, k) = a[i * lda + k], continuing C's
+  //             in-memory chain (zero A coefficients skipped).
+  //   kGradW:   C += A * B with A(i, k) = a[k * lda + i] (A = X^T read in
+  //             place), one fresh chain per element (zeros skipped).
+  //   kGradX:   C += A * B with A(i, k) = a[i * lda + k], one fresh chain
+  //             per element, every product added.
+  enum class Panel { kForward, kGradW, kGradX };
+
+  template <bool kMaskedTail>
+  static inline V LoadCols(const double* p, MaskT tail) {
+    if constexpr (kMaskedTail) {
+      return Ops::MaskLoad(p, tail);
+    } else {
+      return Ops::Load(p);
+    }
+  }
+
   // One register-blocked panel: MR rows x NV vector columns, accumulators
-  // held in registers across the k-tile. The C values are loaded at tile
-  // entry and stored at tile exit, which is exactly the reference's
-  // in-memory accumulation chain for this tile (read-modify-write per k
-  // collapses to read once / add k times / write once — same adds, same
-  // order). B's row vectors are loaded once per k and shared by all MR
-  // rows; the zero-skip stays a scalar per-(row,k) branch.
-  template <size_t MR, size_t NV, bool kMaskedTail>
-  static inline void MicroPanel(const double* a, const double* b, double* c,
-                                size_t i0, size_t ac, size_t bc, size_t kk,
+  // held in registers across the k range.
+  //
+  // kForward: the C values are loaded at tile entry and stored at tile
+  // exit, which is exactly the reference's in-memory accumulation chain
+  // for this tile (read-modify-write per k collapses to read once / add k
+  // times / write once — same adds, same order). The backward kinds start
+  // each chain at +0 and add it to C once at the end — the `dst +=
+  // product` contract of the backward GEMMs.
+  //
+  // B's row vectors are loaded once per k and shared by all MR rows; the
+  // zero-skip stays a scalar per-(row,k) branch.
+  template <Panel kKind, size_t MR, size_t NV, bool kMaskedTail>
+  static inline void MicroPanel(const double* a, size_t lda, const double* b,
+                                double* c, size_t i0, size_t bc, size_t kk,
                                 size_t k_end, size_t j, MaskT tail) {
+    constexpr bool kFresh = kKind != Panel::kForward;
     V acc[MR][NV];
     for (size_t m = 0; m < MR; ++m) {
-      double* crow = c + (i0 + m) * bc + j;
       for (size_t v = 0; v < NV; ++v) {
-        if constexpr (kMaskedTail) {
-          acc[m][v] = Ops::MaskLoad(crow + v * kW, tail);
+        if constexpr (kFresh) {
+          acc[m][v] = Ops::Broadcast(0.0);
         } else {
-          acc[m][v] = Ops::Load(crow + v * kW);
+          acc[m][v] =
+              LoadCols<kMaskedTail>(c + (i0 + m) * bc + j + v * kW, tail);
         }
       }
     }
@@ -79,15 +110,12 @@ struct Kernels {
       const double* brow = b + k * bc + j;
       V bv[NV];
       for (size_t v = 0; v < NV; ++v) {
-        if constexpr (kMaskedTail) {
-          bv[v] = Ops::MaskLoad(brow + v * kW, tail);
-        } else {
-          bv[v] = Ops::Load(brow + v * kW);
-        }
+        bv[v] = LoadCols<kMaskedTail>(brow + v * kW, tail);
       }
       for (size_t m = 0; m < MR; ++m) {
-        const double amk = a[(i0 + m) * ac + k];
-        if (amk == 0.0) continue;
+        const double amk = kKind == Panel::kGradW ? a[k * lda + i0 + m]
+                                                  : a[(i0 + m) * lda + k];
+        if (kKind != Panel::kGradX && amk == 0.0) continue;
         const V va = Ops::Broadcast(amk);
         for (size_t v = 0; v < NV; ++v) {
           acc[m][v] = Ops::Add(acc[m][v], Ops::Mul(va, bv[v]));
@@ -97,30 +125,36 @@ struct Kernels {
     for (size_t m = 0; m < MR; ++m) {
       double* crow = c + (i0 + m) * bc + j;
       for (size_t v = 0; v < NV; ++v) {
+        V out = acc[m][v];
+        if constexpr (kFresh) {
+          out = Ops::Add(LoadCols<kMaskedTail>(crow + v * kW, tail), out);
+        }
         if constexpr (kMaskedTail) {
-          Ops::MaskStore(crow + v * kW, tail, acc[m][v]);
+          Ops::MaskStore(crow + v * kW, tail, out);
         } else {
-          Ops::Store(crow + v * kW, acc[m][v]);
+          Ops::Store(crow + v * kW, out);
         }
       }
     }
   }
 
-  template <size_t MR>
-  static inline void RowBlock(const double* a, const double* b, double* c,
-                              size_t i0, size_t ac, size_t bc, size_t kk,
+  template <Panel kKind, size_t MR>
+  static inline void RowBlock(const double* a, size_t lda, const double* b,
+                              double* c, size_t i0, size_t bc, size_t kk,
                               size_t k_end, size_t jj, size_t j_end) {
     size_t j = jj;
     const MaskT no_mask{};
     for (; j + 2 * kW <= j_end; j += 2 * kW) {
-      MicroPanel<MR, 2, false>(a, b, c, i0, ac, bc, kk, k_end, j, no_mask);
+      MicroPanel<kKind, MR, 2, false>(a, lda, b, c, i0, bc, kk, k_end, j,
+                                      no_mask);
     }
     for (; j + kW <= j_end; j += kW) {
-      MicroPanel<MR, 1, false>(a, b, c, i0, ac, bc, kk, k_end, j, no_mask);
+      MicroPanel<kKind, MR, 1, false>(a, lda, b, c, i0, bc, kk, k_end, j,
+                                      no_mask);
     }
     if (j < j_end) {
-      MicroPanel<MR, 1, true>(a, b, c, i0, ac, bc, kk, k_end, j,
-                              Ops::TailMask(j_end - j));
+      MicroPanel<kKind, MR, 1, true>(a, lda, b, c, i0, bc, kk, k_end, j,
+                                     Ops::TailMask(j_end - j));
     }
   }
 
@@ -136,12 +170,113 @@ struct Kernels {
         const size_t j_end = jj + kTileJ < bc ? jj + kTileJ : bc;
         size_t i = 0;
         for (; i + 4 <= rows; i += 4) {
-          RowBlock<4>(a, b, c, i, ac, bc, kk, k_end, jj, j_end);
+          RowBlock<Panel::kForward, 4>(a, ac, b, c, i, bc, kk, k_end, jj,
+                                       j_end);
         }
         for (; i < rows; ++i) {
-          RowBlock<1>(a, b, c, i, ac, bc, kk, k_end, jj, j_end);
+          RowBlock<Panel::kForward, 1>(a, ac, b, c, i, bc, kk, k_end, jj,
+                                       j_end);
         }
       }
+    }
+  }
+
+  // The backward GEMMs: one fresh chain per element over the whole k
+  // range (no k tiles: the chain must not be split).
+  template <Panel kKind>
+  static void GemmFresh(const double* a, size_t lda, const double* b,
+                        double* c, size_t rows, size_t ac, size_t bc) {
+    size_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+      RowBlock<kKind, 4>(a, lda, b, c, i, bc, 0, ac, 0, bc);
+    }
+    for (; i < rows; ++i) {
+      RowBlock<kKind, 1>(a, lda, b, c, i, bc, 0, ac, 0, bc);
+    }
+  }
+
+  // dw(in x out) += x(n x in)^T * g(n x out).
+  static void GemmTN(const double* x, const double* g, double* dw, size_t n,
+                     size_t in, size_t out) {
+    GemmFresh<Panel::kGradW>(x, in, g, dw, in, n, out);
+  }
+
+  // dx(n x in) += g(n x out) * wt(out x in).
+  static void GemmNT(const double* g, const double* wt, double* dx, size_t n,
+                     size_t out, size_t in) {
+    GemmFresh<Panel::kGradX>(g, out, wt, dx, n, out, in);
+  }
+
+  // ---- Optimizer --------------------------------------------------------
+
+  // out[i] = ((+0 + s0[i]) + s1[i]) + ...: lanes are independent
+  // elements, each summed over the sources in order. The squares of a
+  // chunk are folded into norm_sq lane by lane, in element order, while
+  // the next chunk's sums are independent work the core can overlap.
+  static inline double FoldSquares(V acc, double norm_sq, size_t lanes) {
+    double sq[kW];
+    Ops::Store(sq, Ops::Mul(acc, acc));
+    for (size_t l = 0; l < lanes; ++l) norm_sq += sq[l];
+    return norm_sq;
+  }
+
+  static double SumSquares(const double* const* srcs, size_t count,
+                           double* out, size_t n, double norm_sq) {
+    size_t i = 0;
+    for (; i + kW <= n; i += kW) {
+      V acc = Ops::Broadcast(0.0);
+      for (size_t s = 0; s < count; ++s) {
+        acc = Ops::Add(acc, Ops::Load(srcs[s] + i));
+      }
+      Ops::Store(out + i, acc);
+      norm_sq = FoldSquares(acc, norm_sq, kW);
+    }
+    if (i < n) {
+      const MaskT m = Ops::TailMask(n - i);
+      V acc = Ops::Broadcast(0.0);
+      for (size_t s = 0; s < count; ++s) {
+        acc = Ops::Add(acc, Ops::MaskLoad(srcs[s] + i, m));
+      }
+      Ops::MaskStore(out + i, m, acc);
+      norm_sq = FoldSquares(acc, norm_sq, n - i);
+    }
+    return norm_sq;
+  }
+
+  static inline void AdamV(const AdamCoeffs& c, V g, V* w, V* m, V* v) {
+    g = Ops::Mul(g, Ops::Broadcast(c.scale));
+    *m = Ops::Add(Ops::Mul(Ops::Broadcast(c.beta1), *m),
+                  Ops::Mul(Ops::Broadcast(c.one_minus_beta1), g));
+    *v = Ops::Add(Ops::Mul(Ops::Broadcast(c.beta2), *v),
+                  Ops::Mul(Ops::Mul(Ops::Broadcast(c.one_minus_beta2), g), g));
+    const V m_hat = Ops::Div(*m, Ops::Broadcast(c.bias_correction1));
+    const V v_hat = Ops::Div(*v, Ops::Broadcast(c.bias_correction2));
+    *w = Ops::Sub(*w, Ops::Div(Ops::Mul(Ops::Broadcast(c.lr), m_hat),
+                               Ops::Add(Ops::Sqrt(v_hat),
+                                        Ops::Broadcast(c.eps))));
+  }
+
+  static void AdamUpdate(const AdamCoeffs& c, const double* grad,
+                         double* value, double* m, double* v, size_t n) {
+    size_t i = 0;
+    for (; i + kW <= n; i += kW) {
+      V w = Ops::Load(value + i);
+      V mv = Ops::Load(m + i);
+      V vv = Ops::Load(v + i);
+      AdamV(c, Ops::Load(grad + i), &w, &mv, &vv);
+      Ops::Store(value + i, w);
+      Ops::Store(m + i, mv);
+      Ops::Store(v + i, vv);
+    }
+    if (i < n) {
+      const MaskT t = Ops::TailMask(n - i);
+      V w = Ops::MaskLoad(value + i, t);
+      V mv = Ops::MaskLoad(m + i, t);
+      V vv = Ops::MaskLoad(v + i, t);
+      AdamV(c, Ops::MaskLoad(grad + i, t), &w, &mv, &vv);
+      Ops::MaskStore(value + i, t, w);
+      Ops::MaskStore(m + i, t, mv);
+      Ops::MaskStore(v + i, t, vv);
     }
   }
 

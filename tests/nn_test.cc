@@ -1,5 +1,7 @@
 #include <cmath>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,18 @@
 
 namespace kgpip::nn {
 namespace {
+
+/// C = A^T * B as a plain scalar loop (the reference the tape's backward
+/// kernels are checked against).
+Matrix ReferenceTransposeMatMul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.cols(), b.cols());
+  for (size_t k = 0; k < a.rows(); ++k) {
+    for (size_t i = 0; i < a.cols(); ++i) {
+      for (size_t j = 0; j < b.cols(); ++j) c(i, j) += a(k, i) * b(k, j);
+    }
+  }
+  return c;
+}
 
 TEST(MatrixTest, MatMulKnownValues) {
   Matrix a(2, 3);
@@ -24,8 +38,8 @@ TEST(MatrixTest, MatMulKnownValues) {
   // a = [1 2 3; 4 5 6], b = [7 8; 9 10; 11 12]
   EXPECT_DOUBLE_EQ(c(0, 0), 1 * 7 + 2 * 9 + 3 * 11);
   EXPECT_DOUBLE_EQ(c(1, 1), 4 * 8 + 5 * 10 + 6 * 12);
-  // Transposed variants agree with explicit transposes.
-  Matrix at_b = Matrix::TransposeMatMul(a, a);
+  // The transposed reference agrees with an explicit transpose.
+  Matrix at_b = ReferenceTransposeMatMul(a, a);
   Matrix expected = Matrix::MatMul(a.Transposed(), a);
   for (size_t i = 0; i < at_b.rows(); ++i) {
     for (size_t j = 0; j < at_b.cols(); ++j) {
@@ -55,6 +69,46 @@ void CheckGradients(Var param, const std::function<Var()>& loss_fn,
   }
 }
 
+TEST(MatrixTest, MovedFromMatrixIsEmpty) {
+  // A moved-from matrix must not keep its shape over an empty buffer:
+  // SameShape() would then vouch for it and EnsureGrad() would write
+  // through a null buffer.
+  Matrix a(3, 4, 1.5);
+  Matrix b(std::move(a));
+  EXPECT_EQ(a.rows(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.cols(), 0u);
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(b.rows(), 3u);
+  EXPECT_EQ(b(2, 3), 1.5);
+
+  Matrix c(2, 2);
+  c = std::move(b);
+  EXPECT_EQ(b.rows(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.cols(), 0u);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(c.rows(), 3u);
+
+  VarNode node;
+  node.value = Matrix(3, 4);
+  node.grad = Matrix(3, 4, 2.0);
+  Matrix taken = std::move(node.grad);
+  EXPECT_FALSE(node.grad.SameShape(node.value));
+  node.EnsureGrad();
+  ASSERT_EQ(node.grad.size(), 12u);
+  for (size_t i = 0; i < node.grad.size(); ++i) {
+    EXPECT_EQ(node.grad.data()[i], 0.0);
+  }
+
+  // std::swap (the gradient hand-off) exchanges buffers and shapes.
+  Matrix x(1, 2, 7.0);
+  Matrix y(2, 3, 9.0);
+  std::swap(x, y);
+  EXPECT_EQ(x.rows(), 2u);
+  EXPECT_EQ(x(1, 2), 9.0);
+  EXPECT_EQ(y.cols(), 2u);
+  EXPECT_EQ(y(0, 1), 7.0);
+}
+
 TEST(AutogradTest, MatMulSigmoidChainGradients) {
   Rng rng(3);
   Var w(Matrix::Randn(4, 3, &rng), /*requires_grad=*/true);
@@ -71,10 +125,7 @@ TEST(AutogradTest, GruCellGradients) {
   Var x(Matrix::Randn(2, 3, &rng));
   Var h(Matrix::Randn(2, 3, &rng));
   auto loss_fn = [&] { return MeanAll(cell.Forward(x, h)); };
-  for (Var param : store.params()) {
-    store.ZeroGrads();
-    CheckGradients(param, loss_fn, 1e-4);
-  }
+  for (Var param : store.params()) CheckGradients(param, loss_fn, 1e-4);
 }
 
 TEST(AutogradTest, SoftmaxCrossEntropyGradients) {
@@ -130,11 +181,13 @@ TEST(AdamTest, ConvergesOnQuadratic) {
   Adam adam(&store, 0.05);
   Matrix target(1, 4);
   for (size_t i = 0; i < 4; ++i) target(0, i) = static_cast<double>(i);
+  std::vector<Matrix> grads;
   for (int step = 0; step < 400; ++step) {
     Var diff = Sub(w, Var(target));
     Var loss = MeanAll(Mul(diff, diff));
     Backward(loss);
-    adam.Step();
+    store.TakeGrads(&grads);
+    adam.Step({&grads, 1});
   }
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(w.value()(0, i), target(0, i), 1e-2);

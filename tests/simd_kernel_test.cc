@@ -11,9 +11,11 @@
 // plumbing is covered separately, and a final test pins the batched
 // GenerateTopK decode to k independent Generate calls byte-for-byte.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -54,6 +56,12 @@ std::vector<double> RandomBuffer(size_t n, Rng* rng) {
     }
   }
   return out;
+}
+
+uint64_t Bits(double d) {
+  uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
 }
 
 void ExpectBitEqual(const std::vector<double>& ref,
@@ -124,6 +132,171 @@ TEST(SimdKernelTest, BiasRowsMatchesScalarBitwise) {
         if (HasFatalFailure()) return;
       }
     }
+  }
+}
+
+TEST(SimdKernelTest, BackwardGemmsMatchReferenceAndScalarBitwise) {
+  // dW += X^T G and dX += G W^T: every element is a fresh chain from +0
+  // over ascending k, added to the destination once. The scalar kernel
+  // must equal "product into a zeroed temporary, then add" (the zero-skip
+  // on X included, no skip on G W^T), and every level must equal scalar.
+  const std::vector<Isa> levels = TestableSimdLevels();
+  Rng rng(16);
+  for (size_t n : kShapeSweep) {
+    for (size_t in : kShapeSweep) {
+      for (size_t out : kShapeSweep) {
+        const std::vector<double> x = RandomBuffer(n * in, &rng);
+        const std::vector<double> g = RandomBuffer(n * out, &rng);
+        const std::vector<double> w = RandomBuffer(in * out, &rng);
+        std::vector<double> wt(out * in);  // the caller-packed w^T
+        for (size_t j = 0; j < in; ++j) {
+          for (size_t k = 0; k < out; ++k) wt[k * in + j] = w[j * out + k];
+        }
+        const std::vector<double> dw0 = RandomBuffer(in * out, &rng);
+        const std::vector<double> dx0 = RandomBuffer(n * in, &rng);
+        const std::string shape = std::to_string(n) + "," +
+                                  std::to_string(in) + "," +
+                                  std::to_string(out);
+
+        std::vector<double> tmp(in * out, 0.0);
+        for (size_t k = 0; k < n; ++k) {
+          for (size_t i = 0; i < in; ++i) {
+            const double xki = x[k * in + i];
+            if (xki == 0.0) continue;
+            for (size_t j = 0; j < out; ++j) {
+              tmp[i * out + j] += xki * g[k * out + j];
+            }
+          }
+        }
+        std::vector<double> want = dw0;
+        for (size_t e = 0; e < want.size(); ++e) want[e] += tmp[e];
+        std::vector<double> ref_dw = dw0;
+        nn::simd::GemmTNAccum(Isa::kScalar, x.data(), g.data(), ref_dw.data(),
+                              n, in, out);
+        ExpectBitEqual(want, ref_dw, Isa::kScalar, "dW reference " + shape);
+
+        want = dx0;
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < in; ++j) {
+            double acc = 0.0;
+            for (size_t k = 0; k < out; ++k) {
+              acc += g[i * out + k] * w[j * out + k];
+            }
+            want[i * in + j] += acc;
+          }
+        }
+        std::vector<double> ref_dx = dx0;
+        nn::simd::GemmNTAccum(Isa::kScalar, g.data(), wt.data(),
+                              ref_dx.data(), n, out, in);
+        ExpectBitEqual(want, ref_dx, Isa::kScalar, "dX reference " + shape);
+
+        for (Isa isa : levels) {
+          std::vector<double> got = dw0;
+          nn::simd::GemmTNAccum(isa, x.data(), g.data(), got.data(), n, in,
+                                out);
+          ExpectBitEqual(ref_dw, got, isa, "dW " + shape);
+          got = dx0;
+          nn::simd::GemmNTAccum(isa, g.data(), wt.data(), got.data(), n, out,
+                                in);
+          ExpectBitEqual(ref_dx, got, isa, "dX " + shape);
+        }
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, BackwardGemmsKeepZeroTimesInfSemantics) {
+  // dX adds every product, so a zero gradient against an infinite
+  // weight yields NaN; dW skips zero X coefficients, so an infinite
+  // gradient is ignored there — at every level, like the scalar loops.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> g = {0.0, 1.0};   // 1 x 2
+  const std::vector<double> wt = {inf, 2.0};  // w^T for w 1 x 2 (in = 1)
+  const std::vector<double> x = {0.0};        // 1 x 1
+  const std::vector<double> g_inf = {inf, 1.0};
+  std::vector<Isa> all = TestableSimdLevels();
+  all.push_back(Isa::kScalar);
+  for (Isa isa : all) {
+    std::vector<double> dx = {0.0};
+    nn::simd::GemmNTAccum(isa, g.data(), wt.data(), dx.data(), 1, 2, 1);
+    EXPECT_TRUE(std::isnan(dx[0])) << nn::simd::IsaName(isa);
+    std::vector<double> dw = {0.5, 0.5};
+    nn::simd::GemmTNAccum(isa, x.data(), g_inf.data(), dw.data(), 1, 1, 2);
+    EXPECT_EQ(dw, (std::vector<double>{0.5, 0.5})) << nn::simd::IsaName(isa);
+  }
+}
+
+TEST(SimdKernelTest, OptimizerKernelsMatchScalarBitwise) {
+  // SumSquaresN adds the sources in order from +0 and folds the squares
+  // into one serial chain in element order; AdamUpdateN is one IEEE
+  // expression per element (div and sqrt included). Both must equal the
+  // plain loops at every width.
+  const std::vector<Isa> levels = TestableSimdLevels();
+  if (levels.empty()) GTEST_SKIP() << "host has no SIMD kernel support";
+  Rng rng(17);
+  nn::simd::AdamCoeffs c{};
+  c.beta1 = 0.9;
+  c.beta2 = 0.999;
+  c.one_minus_beta1 = 1.0 - c.beta1;
+  c.one_minus_beta2 = 1.0 - c.beta2;
+  c.lr = 3e-3;
+  c.eps = 1e-8;
+  for (size_t n : kShapeSweep) {
+    for (size_t count = 0; count <= 5; ++count) {
+      std::vector<std::vector<double>> bufs;
+      std::vector<const double*> srcs;
+      for (size_t s = 0; s < count; ++s) bufs.push_back(RandomBuffer(n, &rng));
+      for (const auto& buf : bufs) srcs.push_back(buf.data());
+      std::vector<double> ref(n, 1.0);
+      const double ref_norm = nn::simd::SumSquaresN(
+          Isa::kScalar, srcs.data(), count, ref.data(), n, 0.25);
+      double want_norm = 0.25;
+      for (size_t i = 0; i < n; ++i) {
+        double want = 0.0;
+        for (const auto& buf : bufs) want += buf[i];
+        ASSERT_EQ(want, ref[i]);
+        ASSERT_EQ(std::signbit(want), std::signbit(ref[i]));
+        want_norm += want * want;
+      }
+      ASSERT_EQ(Bits(want_norm), Bits(ref_norm));
+      for (Isa isa : levels) {
+        std::vector<double> got(n, 1.0);
+        const double norm = nn::simd::SumSquaresN(isa, srcs.data(), count,
+                                                  got.data(), n, 0.25);
+        const std::string what = "sum n=" + std::to_string(n) +
+                                 " count=" + std::to_string(count);
+        ExpectBitEqual(ref, got, isa, what);
+        EXPECT_EQ(Bits(ref_norm), Bits(norm)) << what;
+      }
+    }
+    for (int t = 1; t <= 3; ++t) {
+      c.scale = t == 2 ? 0.37 : 1.0;
+      c.bias_correction1 = 1.0 - std::pow(c.beta1, t);
+      c.bias_correction2 = 1.0 - std::pow(c.beta2, t);
+      const std::vector<double> grad = RandomBuffer(n, &rng);
+      const std::vector<double> value = RandomBuffer(n, &rng);
+      std::vector<double> m = RandomBuffer(n, &rng);
+      std::vector<double> v = RandomBuffer(n, &rng);
+      for (double& e : v) e = e * e;  // second moments are non-negative
+      std::vector<double> ref_w = value;
+      std::vector<double> ref_m = m;
+      std::vector<double> ref_v = v;
+      nn::simd::AdamUpdateN(Isa::kScalar, c, grad.data(), ref_w.data(),
+                            ref_m.data(), ref_v.data(), n);
+      for (Isa isa : levels) {
+        std::vector<double> got_w = value;
+        std::vector<double> got_m = m;
+        std::vector<double> got_v = v;
+        nn::simd::AdamUpdateN(isa, c, grad.data(), got_w.data(),
+                              got_m.data(), got_v.data(), n);
+        const std::string what = "adam n=" + std::to_string(n);
+        ExpectBitEqual(ref_w, got_w, isa, what + " value");
+        ExpectBitEqual(ref_m, got_m, isa, what + " m");
+        ExpectBitEqual(ref_v, got_v, isa, what + " v");
+      }
+    }
+    if (HasFatalFailure()) return;
   }
 }
 
