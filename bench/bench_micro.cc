@@ -26,6 +26,7 @@
 #include "nn/inference.h"
 #include "nn/matrix.h"
 #include "obs/metrics.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace kgpip {
@@ -118,7 +119,7 @@ void BM_SimIndexSearch(benchmark::State& state) {
   for (int i = 0; i < 200; ++i) {
     std::vector<double> v(embed::TableEmbedder::kDims);
     for (double& x : v) x = rng.Normal();
-    index.Add("d" + std::to_string(i), v);
+    index.Add(StrFormat("d%d", i), v);
   }
   index.Build();
   for (double& x : query) x = rng.Normal();
@@ -147,7 +148,8 @@ BENCHMARK(BM_GeneratorSample);
 
 void BM_GenGenerate(benchmark::State& state) {
   // Tape (range(0) == 1) vs tape-free (range(0) == 0) decode at a given
-  // generation cap; the pair quantifies the inference-engine speedup
+  // generation cap; the tape-free side is Generate's one-lane
+  // MultiLaneDecoder. The pair quantifies the tape-free decode speedup
   // recorded in BENCH_gen.json.
   gen::GeneratorConfig config;
   config.vocab_size = graph4ml::PipelineVocab::Get().size();
@@ -174,7 +176,7 @@ BENCHMARK(BM_GenGenerate)
     ->Args({1, 30});
 
 void BM_GenGenerateTopK(benchmark::State& state) {
-  // Batched candidate generation over the pool (one engine per lane).
+  // Batched candidate generation over the pool (one decoder per shard).
   ScopedPool pool(state);
   gen::GeneratorConfig config;
   config.vocab_size = graph4ml::PipelineVocab::Get().size();
@@ -298,29 +300,6 @@ void BM_CorpusAnalysisFanout(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CorpusAnalysisFanout)->Arg(1)->Arg(HardwareThreads());
-
-void BM_SimIndexBuild(benchmark::State& state) {
-  // IVF k-means over a contiguous buffer; the assignment sweep is the
-  // parallel part.
-  ScopedPool pool(state);
-  Rng rng(4);
-  std::vector<std::vector<double>> vectors;
-  for (int i = 0; i < 512; ++i) {
-    std::vector<double> v(embed::TableEmbedder::kDims);
-    for (double& x : v) x = rng.Normal();
-    vectors.push_back(std::move(v));
-  }
-  embed::SimIndex::Options options;
-  options.num_cells = 16;
-  for (auto _ : state) {
-    embed::SimIndex index(options);
-    for (size_t i = 0; i < vectors.size(); ++i) {
-      index.Add("d" + std::to_string(i), vectors[i]);
-    }
-    benchmark::DoNotOptimize(index.Build().ok());
-  }
-}
-BENCHMARK(BM_SimIndexBuild)->Arg(1)->Arg(HardwareThreads());
 
 void BM_ForestFit(benchmark::State& state) {
   // Per-tree parallel forest training with forked RNG streams.

@@ -24,7 +24,7 @@ cmake --build build-sanitize -j "$(nproc)" \
 echo "" | tee -a "$out"
 
 # Focused decode benches: the tape-vs-tape-free pairs land in their own
-# JSON so the inference-engine speedup is a first-class artifact. The
+# JSON so the tape-free decode speedup is a first-class artifact. The
 # fresh report is then gated against the checked-in baseline — a decode
 # latency regression past 15% fails the whole run (and the CI
 # bench-regression job runs the same comparison).
@@ -44,25 +44,6 @@ if [ -x build/bench/bench_micro ]; then
   echo "" | tee -a "$out"
 fi
 
-# Similarity-index scaling benches: flat vs IVF-SQ8 at 1k/10k/100k rows.
-# The JSON carries a recall_at_10 counter next to each IVF timing, so
-# the speedup-at-quality claim is one artifact; the checked-in baseline
-# gates search/build latency the same way the decode gate does.
-if [ -x build/bench/bench_embed ]; then
-  echo "===== embed index benches (BENCH_embed.json) =====" | tee -a "$out"
-  build/bench/bench_embed \
-      --benchmark_out=/root/repo/BENCH_embed.json \
-      --benchmark_out_format=json \
-      --metrics-out=/root/repo/BENCH_embed_metrics.json \
-      2>>/tmp/bench_stderr.log | tee -a "$out"
-  echo "" | tee -a "$out"
-  echo "===== embed index regression gate =====" | tee -a "$out"
-  python3 bench/compare_bench.py \
-      bench/baselines/BENCH_embed.baseline.json \
-      /root/repo/BENCH_embed.json --threshold 0.15 2>&1 | tee -a "$out"
-  [ "${PIPESTATUS[0]}" -eq 0 ] || gate_failed=1
-  echo "" | tee -a "$out"
-fi
 for b in build/bench/*; do
   [ -x "$b" ] || continue
   echo "===== $b =====" | tee -a "$out"
@@ -71,10 +52,6 @@ for b in build/bench/*; do
   # micro-benches emit google-benchmark's JSON report.
   extra_args=()
   case "$(basename "$b")" in
-    bench_embed)
-      # Already ran (with JSON + gate) in the dedicated section above.
-      continue
-      ;;
     bench_table2_main_comparison)
       extra_args=(--json-out=/root/repo/BENCH_table2_main_comparison.json
                   --metrics-out=/root/repo/BENCH_metrics.json)

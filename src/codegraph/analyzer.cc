@@ -255,9 +255,11 @@ class Analysis {
   void MaybeLocation(int node, int line) {
     if (!options_.emit_location_nodes) return;
     for (int i = 0; i < options_.location_fanout; ++i) {
-      int loc = graph_.AddNode(
-          NodeKind::kLocation,
-          "L" + std::to_string(line) + ":" + std::to_string(i), line);
+      std::string label = "L";
+      label += std::to_string(line);
+      label += ':';
+      label += std::to_string(i);
+      int loc = graph_.AddNode(NodeKind::kLocation, std::move(label), line);
       graph_.AddEdge(node, loc, EdgeKind::kLocation);
     }
   }

@@ -76,21 +76,12 @@ Status Kgpip::Train(const std::vector<DatasetSpec>& training_specs,
   return TrainFromStore(store, tables, seed);
 }
 
-embed::SimIndex::Options Kgpip::IndexOptions() const {
-  embed::SimIndex::Options options;
-  options.num_cells = config_.index_cells;
-  options.num_probes = config_.index_nprobe;
-  options.rerank_k = config_.index_rerank_k;
-  options.quantize = config_.index_quantize;
-  return options;
-}
-
 Status Kgpip::TrainFromStore(const graph4ml::Graph4Ml& store,
                              const std::map<std::string, Table>& tables,
                              uint64_t seed) {
   store_ = store;
   embeddings_.clear();
-  index_ = embed::SimIndex(IndexOptions());
+  index_ = embed::SimIndex();
   // Validate every dataset has a table first, then embed the tables in
   // parallel and register them with the index in dataset order so the
   // index layout is independent of the thread count.
@@ -436,37 +427,10 @@ Json Kgpip::ToJson() const {
 }
 
 Status Kgpip::LoadJson(const Json& json) {
-  return LoadJsonImpl(json, /*build_index=*/true);
-}
-
-Status Kgpip::RebuildIndexFromEmbeddings() {
-  index_ = embed::SimIndex(IndexOptions());
-  for (const auto& [name, vec] : embeddings_) {
-    KGPIP_RETURN_IF_ERROR(index_.Add(name, vec));
-  }
-  return index_.Build();
-}
-
-bool Kgpip::SegmentsMatchEmbeddings(const embed::SimIndex& index) const {
-  // Keys must match one-to-one; values are not compared because the JSON
-  // embeddings may round-trip differently than the sidecar's exact
-  // binary rows. Sizes equal + every indexed key present == bijection.
-  if (index.size() != embeddings_.size()) return false;
-  if (!embeddings_.empty() &&
-      index.dims() != embeddings_.begin()->second.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < index.size(); ++i) {
-    if (embeddings_.find(index.KeyOf(i)) == embeddings_.end()) return false;
-  }
-  return true;
-}
-
-Status Kgpip::LoadJsonImpl(const Json& json, bool build_index) {
   KGPIP_ASSIGN_OR_RETURN(store_, graph4ml::Graph4Ml::FromJson(
                                      json.Get("store")));
   embeddings_.clear();
-  index_ = embed::SimIndex(IndexOptions());
+  index_ = embed::SimIndex();
   const Json& embeddings = json.Get("embeddings");
   for (const auto& [name, arr] : embeddings.members()) {
     std::vector<double> vec;
@@ -474,14 +438,10 @@ Status Kgpip::LoadJsonImpl(const Json& json, bool build_index) {
     for (size_t i = 0; i < arr.size(); ++i) {
       vec.push_back(arr.at(i).AsDouble());
     }
-    if (build_index) {
-      KGPIP_RETURN_IF_ERROR(index_.Add(name, vec));
-    }
+    KGPIP_RETURN_IF_ERROR(index_.Add(name, vec));
     embeddings_[name] = std::move(vec);
   }
-  if (build_index) {
-    KGPIP_RETURN_IF_ERROR(index_.Build());
-  }
+  KGPIP_RETURN_IF_ERROR(index_.Build());
 
   gen::GeneratorConfig gen_config;
   gen_config.vocab_size = PipelineVocab::Get().size();
@@ -514,18 +474,6 @@ Status Kgpip::SaveFile(const std::string& path) const {
   if (!out) return Status::IoError("cannot open '" + path + "' for write");
   out << header << payload;
   if (!out) return Status::IoError("write failed for '" + path + "'");
-  // IVF indexes ship a binary segment sidecar so LoadFile can skip the
-  // k-means + quantization rebuild. Flat indexes rebuild instantly and
-  // stay sidecar-free, byte-identical to v0 artifacts on disk. Sidecar
-  // failure is non-fatal: the JSON artifact alone remains loadable.
-  if (index_.num_cells_built() > 0) {
-    const Status seg = index_.SaveSegments(path + ".kgseg");
-    if (!seg.ok()) {
-      KGPIP_LOG(Warning) << "segment sidecar write failed (artifact is "
-                            "still loadable): "
-                         << seg.ToString();
-    }
-  }
   return Status::Ok();
 }
 
@@ -583,44 +531,7 @@ Status Kgpip::LoadFile(const std::string& path) {
         path.c_str(), static_cast<unsigned long long>(payload_offset),
         json.status().message().c_str()));
   }
-  // Segment-sidecar fast path: load the prebuilt KGSEG1 index when a
-  // valid one sits next to the artifact, else rebuild from the JSON
-  // embeddings. A corrupt sidecar is rejected (never served) and
-  // repaired in place from the rebuilt index.
-  const std::string seg_path = path + ".kgseg";
-  KGPIP_RETURN_IF_ERROR(LoadJsonImpl(*json, /*build_index=*/false));
-  embed::SimIndex seg_index(IndexOptions());
-  const Status seg = seg_index.LoadSegments(seg_path);
-  bool rejected = false;
-  if (seg.ok()) {
-    if (SegmentsMatchEmbeddings(seg_index)) {
-      index_ = std::move(seg_index);
-      return Status::Ok();
-    }
-    rejected = true;
-    KGPIP_LOG(Warning) << "segment sidecar '" << seg_path
-                       << "' does not cover this artifact's embeddings; "
-                          "rebuilding index";
-  } else if (seg.code() == StatusCode::kParseError) {
-    rejected = true;
-    KGPIP_LOG(Warning) << "rejecting corrupt segment sidecar: "
-                       << seg.ToString() << "; rebuilding index";
-  }
-  // kIoError means no sidecar at all — the v0 flat-artifact layout —
-  // and loads exactly as before, silently.
-  KGPIP_RETURN_IF_ERROR(RebuildIndexFromEmbeddings());
-  if (rejected) {
-    if (index_.num_cells_built() > 0) {
-      const Status repair = index_.SaveSegments(seg_path);
-      if (!repair.ok()) {
-        KGPIP_LOG(Warning) << "segment sidecar repair failed: "
-                           << repair.ToString();
-      }
-    } else {
-      std::remove(seg_path.c_str());
-    }
-  }
-  return Status::Ok();
+  return LoadJson(*json);
 }
 
 }  // namespace kgpip::core

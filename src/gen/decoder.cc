@@ -1,4 +1,4 @@
-#include "gen/inference_engine.h"
+#include "gen/decoder.h"
 
 #include <algorithm>
 #include <cmath>
@@ -40,345 +40,6 @@ int DecisionDist::Sample(Rng* rng, double temperature) const {
 
 double DecisionDist::LogProbOf(int pick) const {
   return std::log(std::max(probs_[static_cast<size_t>(pick)], 1e-12));
-}
-
-InferenceEngine::InferenceEngine(const GraphGenerator* model)
-    : model_(model) {
-  // Pre-size every buffer for the generation cap so a first decode is
-  // already near alloc-free and warm decodes allocate nothing at all.
-  const GeneratorConfig& cfg = model_->config_;
-  const size_t h = static_cast<size_t>(cfg.hidden);
-  const size_t n_cap = static_cast<size_t>(std::max(cfg.max_nodes, 1));
-  const size_t vocab = static_cast<size_t>(cfg.vocab_size);
-  const size_t e_cap = n_cap * (n_cap - 1) / 2 + n_cap;
-  ws_.states.ReserveElems(n_cap * h);
-  ws_.next_states.ReserveElems(n_cap * h);
-  ws_.zero_input.ReserveElems(n_cap * h);
-  ws_.msg_concat.ReserveElems(e_cap * 2 * h);
-  ws_.msg_rows.ReserveElems(e_cap * h);
-  ws_.acc_fwd.ReserveElems(n_cap * h);
-  ws_.acc_bwd.ReserveElems(n_cap * h);
-  ws_.gates.ReserveElems(n_cap * h);
-  ws_.content.ReserveElems(n_cap * h);
-  ws_.h_graph.ReserveElems(h);
-  ws_.node_logits.ReserveElems(vocab + 1);
-  ws_.h_new.ReserveElems(h);
-  ws_.edge_concat.ReserveElems(2 * h);
-  ws_.edge_logit.ReserveElems(1);
-  ws_.choose_concat.ReserveElems(n_cap * 2 * h);
-  ws_.choose_scores.ReserveElems(n_cap);
-  ws_.emb_row.ReserveElems(h);
-  ws_.init_tmp.ReserveElems(h);
-  ws_.type_init.ReserveElems(vocab * h);
-  ws_.type_init_valid.reserve(vocab);
-  ws_.cond_in.ReserveElems(static_cast<size_t>(std::max(cfg.condition_dims,
-                                                        0)));
-  ws_.cond_row.ReserveElems(h);
-  ws_.condition.reserve(static_cast<size_t>(std::max(cfg.condition_dims,
-                                                     0)));
-  ws_.node_dist.Reserve(vocab + 1);
-  ws_.choose_dist.Reserve(n_cap);
-  ws_.edges.reserve(e_cap);
-  ws_.srcs.reserve(e_cap);
-  ws_.dsts.reserve(e_cap);
-  // The GRU scratch is shaped on first use; reserve its peak here.
-  ws_.gru.z.ReserveElems(n_cap * h);
-  ws_.gru.r.ReserveElems(n_cap * h);
-  ws_.gru.cand.ReserveElems(n_cap * h);
-  ws_.gru.tmp.ReserveElems(n_cap * h);
-  ws_.gru.rh.ReserveElems(n_cap * h);
-  ws_.gru_wx.ReserveElems(h * 3 * h);
-  ws_.gru_bx.ReserveElems(3 * h);
-  ws_.gru_wh2.ReserveElems(h * 2 * h);
-  ws_.gru_bh2.ReserveElems(2 * h);
-  ws_.gru_xg.ReserveElems(n_cap * 3 * h);
-  ws_.gru_hg.ReserveElems(n_cap * 2 * h);
-}
-
-void InferenceEngine::EnsureCondRow() {
-  if (ws_.cond_row_valid) return;
-  const GeneratorConfig& cfg = model_->config_;
-  const size_t dims = static_cast<size_t>(cfg.condition_dims);
-  // Same construction as the tape path: zero row, then copy the prefix
-  // that both the row and the condition vector cover.
-  ws_.Shape(&ws_.cond_in, 1, dims);
-  ws_.cond_in.Fill(0.0);
-  for (size_t i = 0; i < dims && i < ws_.condition.size(); ++i) {
-    ws_.cond_in(0, i) = ws_.condition[i];
-  }
-  model_->cond_proj_.ForwardValue(ws_.cond_in, &ws_.cond_row);
-  ws_.cond_row_valid = true;
-}
-
-const double* InferenceEngine::InitRow(int type) {
-  const size_t h = static_cast<size_t>(model_->config_.hidden);
-  const size_t t = static_cast<size_t>(type);
-  KGPIP_CHECK(t < ws_.type_init_valid.size());
-  double* row = ws_.type_init.data() + t * h;
-  if (ws_.type_init_valid[t]) return row;
-  // Tape semantics: Tanh(init_node(emb[type]) [+ cond_proj(condition)]).
-  const nn::Matrix& emb = model_->type_embedding_.value();
-  ws_.Shape(&ws_.emb_row, 1, h);
-  std::memcpy(ws_.emb_row.data(), emb.data() + t * h, h * sizeof(double));
-  model_->init_node_.ForwardValue(ws_.emb_row, &ws_.init_tmp);
-  if (type == graph4ml::PipelineVocab::kDatasetType &&
-      model_->config_.condition_dims > 0 && !ws_.condition.empty()) {
-    EnsureCondRow();
-    ws_.init_tmp.AddInPlace(ws_.cond_row);
-  }
-  nn::TanhInPlace(&ws_.init_tmp);
-  std::memcpy(row, ws_.init_tmp.data(), h * sizeof(double));
-  ws_.type_init_valid[t] = 1;
-  return row;
-}
-
-void InferenceEngine::Begin(const graph4ml::TypedGraph& seed,
-                            const std::vector<double>& condition) {
-  KGPIP_CHECK(!seed.node_types.empty()) << "seed subgraph required";
-  const GeneratorConfig& cfg = model_->config_;
-  const size_t h = static_cast<size_t>(cfg.hidden);
-  if (condition.size() > ws_.condition.capacity()) ++ws_.alloc_events;
-  ws_.condition.assign(condition.begin(), condition.end());
-  ws_.Size(&ws_.type_init_valid, static_cast<size_t>(cfg.vocab_size));
-  std::fill(ws_.type_init_valid.begin(), ws_.type_init_valid.end(), 0);
-  ws_.Shape(&ws_.type_init, static_cast<size_t>(cfg.vocab_size), h);
-  ws_.cond_row_valid = false;
-
-  ws_.Shape(&ws_.states, seed.node_types.size(), h);
-  for (size_t i = 0; i < seed.node_types.size(); ++i) {
-    const double* row = InitRow(seed.node_types[i]);
-    std::memcpy(ws_.states.data() + i * h, row, h * sizeof(double));
-  }
-  if (seed.edges.size() > ws_.edges.capacity()) ++ws_.alloc_events;
-  ws_.edges.assign(seed.edges.begin(), seed.edges.end());
-  // Re-pack the fused GRU gate panels: a few KB of copies per decode,
-  // and the panels can never go stale across interleaved Fit calls.
-  model_->update_.PackFused(&ws_.gru_wx, &ws_.gru_bx, &ws_.gru_wh2,
-                            &ws_.gru_bh2);
-  staged_type_ = -1;
-  ++state_version_;
-}
-
-void InferenceEngine::RunPropagation() {
-  const GeneratorConfig& cfg = model_->config_;
-  const size_t h = static_cast<size_t>(cfg.hidden);
-  const size_t n = ws_.states.rows();
-  for (int round = 0; round < cfg.prop_rounds; ++round) {
-    const nn::Matrix* messages = nullptr;
-    if (ws_.edges.empty()) {
-      // Zero messages so isolated nodes still evolve (tape behavior).
-      ws_.Shape(&ws_.zero_input, n, h);
-      ws_.zero_input.Fill(0.0);
-      messages = &ws_.zero_input;
-    } else {
-      const size_t e = ws_.edges.size();
-      ws_.Size(&ws_.srcs, e);
-      ws_.Size(&ws_.dsts, e);
-      for (size_t i = 0; i < e; ++i) {
-        ws_.srcs[i] = static_cast<size_t>(ws_.edges[i].first);
-        ws_.dsts[i] = static_cast<size_t>(ws_.edges[i].second);
-      }
-      // Forward messages: tanh(msg_fwd([h_src, h_dst])) scattered to dst.
-      ws_.Shape(&ws_.msg_concat, e, 2 * h);
-      for (size_t i = 0; i < e; ++i) {
-        double* row = ws_.msg_concat.data() + i * 2 * h;
-        std::memcpy(row, ws_.states.data() + ws_.srcs[i] * h,
-                    h * sizeof(double));
-        std::memcpy(row + h, ws_.states.data() + ws_.dsts[i] * h,
-                    h * sizeof(double));
-      }
-      model_->msg_fwd_.ForwardValue(ws_.msg_concat, &ws_.msg_rows,
-                                    nn::Activation::kTanh);
-      ws_.Shape(&ws_.acc_fwd, n, h);
-      ws_.acc_fwd.Fill(0.0);
-      for (size_t i = 0; i < e; ++i) {
-        double* dst = ws_.acc_fwd.data() + ws_.dsts[i] * h;
-        const double* src = ws_.msg_rows.data() + i * h;
-        for (size_t j = 0; j < h; ++j) dst[j] += src[j];
-      }
-      // Backward messages: tanh(msg_bwd([h_dst, h_src])) scattered to src.
-      for (size_t i = 0; i < e; ++i) {
-        double* row = ws_.msg_concat.data() + i * 2 * h;
-        std::memcpy(row, ws_.states.data() + ws_.dsts[i] * h,
-                    h * sizeof(double));
-        std::memcpy(row + h, ws_.states.data() + ws_.srcs[i] * h,
-                    h * sizeof(double));
-      }
-      model_->msg_bwd_.ForwardValue(ws_.msg_concat, &ws_.msg_rows,
-                                    nn::Activation::kTanh);
-      ws_.Shape(&ws_.acc_bwd, n, h);
-      ws_.acc_bwd.Fill(0.0);
-      for (size_t i = 0; i < e; ++i) {
-        double* dst = ws_.acc_bwd.data() + ws_.srcs[i] * h;
-        const double* src = ws_.msg_rows.data() + i * h;
-        for (size_t j = 0; j < h; ++j) dst[j] += src[j];
-      }
-      // Two separate accumulators, summed afterwards: the tape computes
-      // Add(scatter_fwd, scatter_bwd), and folding both scatters into one
-      // buffer would change the association.
-      ws_.acc_fwd.AddInPlace(ws_.acc_bwd);
-      messages = &ws_.acc_fwd;
-    }
-    nn::GruFusedForward(*messages, ws_.states, ws_.gru_wx, ws_.gru_bx,
-                        ws_.gru_wh2, ws_.gru_bh2,
-                        model_->update_.hn().weight_value(),
-                        model_->update_.hn().bias_value(), &ws_.gru_xg,
-                        &ws_.gru_hg, &ws_.gru.z, &ws_.gru.r, &ws_.gru.rh,
-                        &ws_.gru.tmp, &ws_.gru.cand, &ws_.next_states);
-    std::swap(ws_.states, ws_.next_states);
-  }
-  ++state_version_;
-}
-
-const nn::Matrix& InferenceEngine::GraphReadout() {
-  if (readout_state_ == state_version_) return ws_.h_graph;
-  const size_t h = static_cast<size_t>(model_->config_.hidden);
-  model_->gate_.ForwardValue(ws_.states, &ws_.gates,
-                             nn::Activation::kSigmoid);
-  model_->proj_.ForwardValue(ws_.states, &ws_.content);
-  nn::MulInto(ws_.gates, ws_.content, &ws_.content);
-  // SumRows: ascending row order, as the tape op accumulates.
-  ws_.Shape(&ws_.h_graph, 1, h);
-  ws_.h_graph.Fill(0.0);
-  double* out = ws_.h_graph.data();
-  for (size_t i = 0; i < ws_.content.rows(); ++i) {
-    const double* row = ws_.content.data() + i * h;
-    for (size_t j = 0; j < h; ++j) out[j] += row[j];
-  }
-  readout_state_ = state_version_;
-  return ws_.h_graph;
-}
-
-const nn::Matrix& InferenceEngine::AddNodeLogits() {
-  if (logits_state_ == state_version_) return ws_.node_logits;
-  model_->add_node_.ForwardValue(GraphReadout(), &ws_.node_logits);
-  logits_state_ = state_version_;
-  return ws_.node_logits;
-}
-
-void InferenceEngine::StageNode(int type) {
-  const size_t h = static_cast<size_t>(model_->config_.hidden);
-  const double* row = InitRow(type);
-  ws_.Shape(&ws_.h_new, 1, h);
-  std::memcpy(ws_.h_new.data(), row, h * sizeof(double));
-  staged_type_ = type;
-  ++hnew_version_;
-}
-
-double InferenceEngine::EdgeLogitValue() {
-  if (edge_state_ == state_version_ && edge_hnew_ == hnew_version_) {
-    return edge_logit_value_;
-  }
-  const size_t h = static_cast<size_t>(model_->config_.hidden);
-  const nn::Matrix& h_graph = GraphReadout();
-  ws_.Shape(&ws_.edge_concat, 1, 2 * h);
-  std::memcpy(ws_.edge_concat.data(), h_graph.data(), h * sizeof(double));
-  std::memcpy(ws_.edge_concat.data() + h, ws_.h_new.data(),
-              h * sizeof(double));
-  model_->add_edge_.ForwardValue(ws_.edge_concat, &ws_.edge_logit);
-  edge_logit_value_ = ws_.edge_logit(0, 0);
-  edge_state_ = state_version_;
-  edge_hnew_ = hnew_version_;
-  return edge_logit_value_;
-}
-
-const nn::Matrix& InferenceEngine::ChooseScores() {
-  if (choose_state_ == state_version_ && choose_hnew_ == hnew_version_) {
-    return ws_.choose_scores;
-  }
-  const size_t h = static_cast<size_t>(model_->config_.hidden);
-  const size_t n = ws_.states.rows();
-  ws_.Shape(&ws_.choose_concat, n, 2 * h);
-  const double* hn = ws_.h_new.data();
-  for (size_t i = 0; i < n; ++i) {
-    double* row = ws_.choose_concat.data() + i * 2 * h;
-    std::memcpy(row, ws_.states.data() + i * h, h * sizeof(double));
-    // The tape tiles h_new with MatMul(ones(n, 1), h_new), whose kernel
-    // computes 0.0 + 1.0 * v per element — replicate that expression
-    // (it maps -0.0 to +0.0, unlike a plain copy).
-    for (size_t j = 0; j < h; ++j) row[h + j] = 0.0 + 1.0 * hn[j];
-  }
-  // The head yields an n x 1 column; its row-major flat layout equals the
-  // 1 x n transpose the tape takes, so reshaping is the transpose.
-  model_->choose_node_.ForwardValue(ws_.choose_concat, &ws_.choose_scores);
-  ws_.choose_scores.Reshape(1, n);
-  choose_state_ = state_version_;
-  choose_hnew_ = hnew_version_;
-  return ws_.choose_scores;
-}
-
-void InferenceEngine::AddEdge(int src) {
-  if (ws_.edges.size() + 1 > ws_.edges.capacity()) ++ws_.alloc_events;
-  ws_.edges.emplace_back(src, static_cast<int>(num_nodes()));
-}
-
-void InferenceEngine::CommitStagedNode() {
-  KGPIP_CHECK(staged_type_ >= 0) << "no staged node";
-  const size_t h = static_cast<size_t>(model_->config_.hidden);
-  const size_t n = ws_.states.rows();
-  ws_.Shape(&ws_.states, n + 1, h);  // keeps the first n rows intact
-  std::memcpy(ws_.states.data() + n * h, ws_.h_new.data(),
-              h * sizeof(double));
-  staged_type_ = -1;
-  ++state_version_;
-}
-
-GeneratedGraph InferenceEngine::Decode(const graph4ml::TypedGraph& seed,
-                                       const std::vector<double>& condition,
-                                       Rng* rng, double temperature) {
-  const GeneratorConfig& cfg = model_->config_;
-  Begin(seed, condition);
-  GeneratedGraph out;
-  out.graph = seed;
-  // The returned graph owns its storage; reserve once up front. (The
-  // alloc_events metric tracks the reusable arena, not the output.)
-  out.graph.node_types.reserve(static_cast<size_t>(cfg.max_nodes));
-  out.graph.edges.reserve(ws_.edges.capacity());
-
-  while (static_cast<int>(num_nodes()) < cfg.max_nodes) {
-    RunPropagation();
-    const nn::Matrix& logits = AddNodeLogits();
-    ws_.node_dist.Compute(logits.data(), logits.cols(), temperature);
-    const int picked = ws_.node_dist.Sample(rng, temperature);
-    out.log_prob += ws_.node_dist.LogProbOf(picked);
-    if (picked == cfg.vocab_size) break;  // STOP
-
-    const int new_index = static_cast<int>(num_nodes());
-    out.graph.node_types.push_back(picked);
-    StageNode(picked);
-
-    // Edge loop. The edge logit and choose-node scores depend only on
-    // (states, h_graph, h_new), all constant until the node commits, so
-    // each is computed once and replayed across the budget — the tape
-    // path recomputes them (identically) every iteration.
-    bool choose_ready = false;
-    int edge_budget = new_index;  // at most one edge per earlier node
-    while (edge_budget-- > 0) {
-      const double p_edge = nn::SigmoidScalar(EdgeLogitValue());
-      const bool add = temperature <= 0.0 ? p_edge >= 0.5
-                                          : rng->Bernoulli(p_edge);
-      out.log_prob += std::log(std::max(add ? p_edge : 1.0 - p_edge,
-                                        1e-12));
-      if (!add) break;
-      const nn::Matrix& scores = ChooseScores();
-      if (!choose_ready) {
-        ws_.choose_dist.Compute(scores.data(), scores.cols(), temperature);
-        choose_ready = true;
-      }
-      const int src = ws_.choose_dist.Sample(rng, temperature);
-      out.log_prob += ws_.choose_dist.LogProbOf(src);
-      bool duplicate = false;
-      for (const auto& [s, d] : ws_.edges) {
-        if (s == src && d == new_index) duplicate = true;
-      }
-      if (!duplicate) {
-        AddEdge(src);
-        out.graph.edges.emplace_back(src, new_index);
-      }
-    }
-    CommitStagedNode();
-  }
-  return out;
 }
 
 MultiLaneDecoder::MultiLaneDecoder(const GraphGenerator* model,
@@ -506,8 +167,8 @@ void MultiLaneDecoder::PropagateAll(size_t num_groups, size_t n) {
   for (size_t g = 0; g < num_groups; ++g) e_all += cur[g].edges.size();
   for (int round = 0; round < cfg.prop_rounds; ++round) {
     // Both scatter accumulators zeroed for every group; a group with no
-    // edges keeps +0.0 rows, which is bitwise the single-lane
-    // zero-input path (Fill(0.0) there too, and +0.0 + +0.0 == +0.0).
+    // edges keeps +0.0 rows, which is bitwise the tape's zero-input
+    // path (+0.0 + +0.0 == +0.0).
     Shape(&acc_fwd_, n_total, h);
     acc_fwd_.Fill(0.0);
     Shape(&acc_bwd_, n_total, h);
@@ -527,8 +188,8 @@ void MultiLaneDecoder::PropagateAll(size_t num_groups, size_t n) {
       // Forward messages: tanh(msg_fwd([h_src, h_dst])) scattered to
       // dst. One GEMM over every group's edges — rows are independent,
       // so stacking cannot change any row's bytes; the scatter visits
-      // each group's edges in its own edge order, exactly the
-      // single-lane accumulation order per destination row.
+      // each group's edges in its own edge order, exactly the tape's
+      // accumulation order per destination row.
       Shape(&msg_concat_, e_all, 2 * h);
       for (size_t i = 0; i < e_all; ++i) {
         double* row = msg_concat_.data() + i * 2 * h;
@@ -668,7 +329,7 @@ void MultiLaneDecoder::DecodeLanes(const graph4ml::TypedGraph& seed,
     ReadoutAll(G, n);
 
     // Node-type sampling. One distribution per group; each lane draws
-    // from its own stream in the single-lane order.
+    // from its own stream in the tape's order.
     for (size_t g = 0; g < G; ++g) {
       node_dists_[g].Compute(node_logits_all_.data() + g * (vocab + 1),
                              vocab + 1, temperature);
@@ -708,7 +369,7 @@ void MultiLaneDecoder::DecodeLanes(const graph4ml::TypedGraph& seed,
       // Batched decision heads, one row block per (group, staged type).
       // Both heads read only (states, h_graph, h_new) — all constant
       // until the node commits — so one evaluation per pair replays the
-      // single-lane per-step cache.
+      // tape's per-iteration recomputes.
       Shape(&edge_concat_all_, P, 2 * h);
       for (size_t p = 0; p < P; ++p) {
         double* row = edge_concat_all_.data() + p * 2 * h;
@@ -743,16 +404,16 @@ void MultiLaneDecoder::DecodeLanes(const graph4ml::TypedGraph& seed,
       for (size_t p = 0; p < P; ++p) {
         // The head's (P*n) x 1 output is row-major, so pair p's scores
         // are the contiguous run [p*n, (p+1)*n) — the 1 x n transpose
-        // the single-lane path reshapes to.
+        // the tape takes.
         choose_dists_[p].Compute(choose_scores_all_.data() + p * n, n,
                                  temperature);
       }
     }
 
     // Per-lane edge loop: pure sampling against the pair's cached
-    // p_edge / choose distribution (no further network evaluation, just
-    // like the single-lane cache replay). A duplicate pick is exactly
-    // "src already added this step" — prior edges all have dst < n.
+    // p_edge / choose distribution (no further network evaluation). A
+    // duplicate pick is exactly "src already added this step" — prior
+    // edges all have dst < n.
     for (size_t g = 0; g < G; ++g) {
       for (int lane : cur[g].lanes) {
         if (lane_pick_[static_cast<size_t>(lane)] < 0) continue;
@@ -829,7 +490,7 @@ void MultiLaneDecoder::DecodeLanes(const graph4ml::TypedGraph& seed,
             child.edges.emplace_back(s, static_cast<int>(n));
           }
           // Child states: the parent's rows plus the staged node's row
-          // (CommitStagedNode semantics, relocated into the new stack).
+          // (the tape's ConcatRows, relocated into the new stack).
           double* dst = next_states_all_.data() + next_count * (n + 1) * h;
           std::memcpy(dst, states_all_.data() + g * n * h,
                       n * h * sizeof(double));

@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <span>
 
-#include "gen/inference_engine.h"
+#include "gen/decoder.h"
 #include "nn/fastmath.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -295,7 +295,7 @@ GeneratedGraph GraphGenerator::GenerateTape(
 
     // Edge loop: Bernoulli "add edge" then categorical "to which node".
     // The heads are re-run every iteration on purpose — this is the
-    // naive reference the inference engine's caching is checked against.
+    // naive reference the tape-free decoder's reuse is checked against.
     int edge_budget = new_index;  // at most one edge per earlier node
     while (edge_budget-- > 0) {
       nn::Matrix edge_logit =
@@ -328,55 +328,31 @@ GeneratedGraph GraphGenerator::GenerateTape(
   return out;
 }
 
-std::unique_ptr<InferenceEngine> GraphGenerator::AcquireEngine() const {
+std::unique_ptr<MultiLaneDecoder> GraphGenerator::AcquireDecoder(
+    size_t lanes) const {
   {
-    util::MutexLock lock(engines_mu_);
-    if (!engines_.empty()) {
-      std::unique_ptr<InferenceEngine> engine = std::move(engines_.back());
-      engines_.pop_back();
-      return engine;
+    util::MutexLock lock(decoders_mu_);
+    if (!decoders_.empty()) {
+      std::unique_ptr<MultiLaneDecoder> decoder = std::move(decoders_.back());
+      decoders_.pop_back();
+      return decoder;
     }
   }
   // Construction happens outside the lock: it allocates the full decode
   // scratch and only touches this generator's (immutable-here) weights.
-  return std::make_unique<InferenceEngine>(this);
-}
-
-void GraphGenerator::ReleaseEngine(
-    std::unique_ptr<InferenceEngine> engine) const {
-  util::MutexLock lock(engines_mu_);
-  engines_.push_back(std::move(engine));
-}
-
-std::unique_ptr<MultiLaneDecoder> GraphGenerator::AcquireMultiDecoder(
-    size_t lanes) const {
-  {
-    util::MutexLock lock(engines_mu_);
-    if (!multi_engines_.empty()) {
-      std::unique_ptr<MultiLaneDecoder> decoder =
-          std::move(multi_engines_.back());
-      multi_engines_.pop_back();
-      return decoder;
-    }
-  }
   return std::make_unique<MultiLaneDecoder>(this, lanes);
 }
 
-void GraphGenerator::ReleaseMultiDecoder(
+void GraphGenerator::ReleaseDecoder(
     std::unique_ptr<MultiLaneDecoder> decoder) const {
-  util::MutexLock lock(engines_mu_);
-  multi_engines_.push_back(std::move(decoder));
+  util::MutexLock lock(decoders_mu_);
+  decoders_.push_back(std::move(decoder));
 }
 
-GeneratedGraph GraphGenerator::GenerateWithEngine(
-    InferenceEngine& engine, const graph4ml::TypedGraph& seed,
-    const std::vector<double>& condition, Rng* rng,
-    double temperature) const {
-  if (!config_.cross_check) {
-    return engine.Decode(seed, condition, rng, temperature);
-  }
-  Rng tape_rng = *rng;  // identical stream for the reference decode
-  GeneratedGraph out = engine.Decode(seed, condition, rng, temperature);
+void GraphGenerator::CheckAgainstTape(const GeneratedGraph& out,
+                                      const graph4ml::TypedGraph& seed,
+                                      const std::vector<double>& condition,
+                                      Rng tape_rng, double temperature) const {
   GeneratedGraph ref = GenerateTape(seed, condition, &tape_rng, temperature);
   KGPIP_CHECK(out.graph.node_types == ref.graph.node_types)
       << "tape-free decode diverged from tape (node types)";
@@ -384,7 +360,6 @@ GeneratedGraph GraphGenerator::GenerateWithEngine(
       << "tape-free decode diverged from tape (edges)";
   KGPIP_CHECK(out.log_prob == ref.log_prob)
       << "tape-free decode diverged from tape (log-prob)";
-  return out;
 }
 
 GeneratedGraph GraphGenerator::Generate(const graph4ml::TypedGraph& seed,
@@ -403,13 +378,19 @@ GeneratedGraph GraphGenerator::Generate(const graph4ml::TypedGraph& seed,
     Stopwatch* watch;
     ~RecordOnExit() { hist->Record(watch->ElapsedSeconds()); }
   } record{generate_seconds, &watch};
-  std::unique_ptr<InferenceEngine> engine = AcquireEngine();
-  const size_t allocs_before = engine->alloc_events();
-  GeneratedGraph out =
-      GenerateWithEngine(*engine, seed, condition, rng, temperature);
+  // One lane drawing from the caller's stream directly (no fork), so the
+  // stream advances exactly as the tape decode would advance it.
+  const Rng tape_rng = *rng;
+  GeneratedGraph out;
+  std::unique_ptr<MultiLaneDecoder> decoder = AcquireDecoder(1);
+  const size_t allocs_before = decoder->alloc_events();
+  decoder->DecodeLanes(seed, condition, rng, &out, 1, temperature);
   generate_allocs->Increment(
-      static_cast<int64_t>(engine->alloc_events() - allocs_before));
-  ReleaseEngine(std::move(engine));
+      static_cast<int64_t>(decoder->alloc_events() - allocs_before));
+  ReleaseDecoder(std::move(decoder));
+  if (config_.cross_check) {
+    CheckAgainstTape(out, seed, condition, tape_rng, temperature);
+  }
   return out;
 }
 
@@ -442,65 +423,24 @@ std::vector<GeneratedGraph> GraphGenerator::GenerateTopK(
   pool.ParallelFor(shards, [&](size_t s) {
     const size_t begin = s * k / shards;
     const size_t end = (s + 1) * k / shards;
-    std::unique_ptr<MultiLaneDecoder> decoder =
-        AcquireMultiDecoder(end - begin);
+    std::unique_ptr<MultiLaneDecoder> decoder = AcquireDecoder(end - begin);
     const size_t allocs_before = decoder->alloc_events();
     decoder->DecodeLanes(seed, condition, &rngs[begin], &results[begin],
                          end - begin, temperature);
     alloc_delta.fetch_add(decoder->alloc_events() - allocs_before,
                           std::memory_order_relaxed);
-    ReleaseMultiDecoder(std::move(decoder));
+    ReleaseDecoder(std::move(decoder));
   });
   if (config_.cross_check) {
     pool.ParallelFor(k, [&](size_t i) {
-      GeneratedGraph ref =
-          GenerateTape(seed, condition, &tape_rngs[i], temperature);
-      KGPIP_CHECK(results[i].graph.node_types == ref.graph.node_types)
-          << "batched decode diverged from tape (node types)";
-      KGPIP_CHECK(results[i].graph.edges == ref.graph.edges)
-          << "batched decode diverged from tape (edges)";
-      KGPIP_CHECK(results[i].log_prob == ref.log_prob)
-          << "batched decode diverged from tape (log-prob)";
+      CheckAgainstTape(results[i], seed, condition, tape_rngs[i],
+                       temperature);
     });
   }
   generate_allocs->Increment(
       static_cast<int64_t>(alloc_delta.load(std::memory_order_relaxed)));
   topk_seconds->Record(watch.ElapsedSeconds());
   return results;
-}
-
-nn::Matrix GraphGenerator::ReferencePropagate(
-    const nn::Matrix& states,
-    const std::vector<std::pair<int, int>>& edges) const {
-  return Propagate(Var(states), edges).value();
-}
-
-nn::Matrix GraphGenerator::ReferenceReadout(const nn::Matrix& states) const {
-  return Readout(Var(states)).value();
-}
-
-nn::Matrix GraphGenerator::ReferenceInitNode(
-    int type, const std::vector<double>& condition) const {
-  return InitNode(type, condition).value();
-}
-
-nn::Matrix GraphGenerator::ReferenceNodeLogits(
-    const nn::Matrix& states) const {
-  return add_node_.Forward(Readout(Var(states))).value();
-}
-
-double GraphGenerator::ReferenceEdgeLogit(const nn::Matrix& states,
-                                          const nn::Matrix& h_new) const {
-  Var h_graph = Readout(Var(states));
-  return add_edge_.Forward(ConcatCols(h_graph, Var(h_new))).value()(0, 0);
-}
-
-nn::Matrix GraphGenerator::ReferenceChooseScores(
-    const nn::Matrix& states, const nn::Matrix& h_new) const {
-  nn::Matrix ones(states.rows(), 1, 1.0);
-  Var tiled = MatMul(Var(std::move(ones)), Var(h_new));
-  return choose_node_.Forward(ConcatCols(Var(states), tiled)).value()
-      .Transposed();
 }
 
 Json GraphGenerator::ToJson() const {

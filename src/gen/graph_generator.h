@@ -12,7 +12,6 @@
 
 namespace kgpip::gen {
 
-class InferenceEngine;
 class MultiLaneDecoder;
 
 /// Configuration of the deep graph generative model (Li et al. 2018,
@@ -25,9 +24,10 @@ struct GeneratorConfig {
   int max_nodes = 12;      // generation cap
   int condition_dims = 0;  // dataset content-embedding width (0 = off)
   double learning_rate = 3e-3;
-  /// Debug mode: every tape-free Generate also runs the tape path on a
-  /// copy of the RNG and checks the outputs are identical. Also enabled
-  /// by setting the KGPIP_GEN_CROSSCHECK environment variable.
+  /// Debug mode: every tape-free Generate/GenerateTopK decode also runs
+  /// the tape path on a copy of its RNG stream and checks the outputs
+  /// are identical. Also enabled by setting the KGPIP_GEN_CROSSCHECK
+  /// environment variable.
   bool cross_check = false;
   /// Examples per optimizer step (1 = classic per-example SGD). The
   /// per-example gradients of a minibatch are computed in parallel (data
@@ -68,17 +68,18 @@ class GraphGenerator {
   double TrainEpoch(const std::vector<GraphExample>& examples, Rng* rng);
 
   /// Generates one graph conditioned on a seed subgraph. `temperature`
-  /// scales sampling entropy (0 = greedy argmax). Runs on the tape-free
-  /// inference engine — byte-identical to GenerateTape but without
-  /// autograd bookkeeping. Engines are checked out of a shared free
-  /// list per call, so concurrent calls on the *same* generator are
-  /// safe (each caller decodes on private scratch).
+  /// scales sampling entropy (0 = greedy argmax). Runs as one lane of
+  /// the tape-free MultiLaneDecoder on the caller's `rng` — byte-
+  /// identical to GenerateTape but without autograd bookkeeping.
+  /// Decoders are checked out of a shared free list per call, so
+  /// concurrent calls on the *same* generator are safe (each caller
+  /// decodes on private scratch).
   GeneratedGraph Generate(const graph4ml::TypedGraph& seed,
                           const std::vector<double>& condition, Rng* rng,
                           double temperature = 1.0) const;
 
   /// Reference decode on the autograd tape. Slow; kept as the
-  /// ground-truth the inference engine is verified against (and for
+  /// ground-truth the tape-free decoder is verified against (and for
   /// cross_check mode).
   GeneratedGraph GenerateTape(const graph4ml::TypedGraph& seed,
                               const std::vector<double>& condition,
@@ -99,20 +100,6 @@ class GraphGenerator {
       const std::vector<double>& condition, size_t k, Rng* rng,
       double temperature = 1.0) const;
 
-  // --- Reference forwards (naive tape recomputes, exposed so the
-  // equivalence tests can check every inference-engine cache) ---
-  nn::Matrix ReferencePropagate(
-      const nn::Matrix& states,
-      const std::vector<std::pair<int, int>>& edges) const;
-  nn::Matrix ReferenceReadout(const nn::Matrix& states) const;
-  nn::Matrix ReferenceInitNode(int type,
-                               const std::vector<double>& condition) const;
-  nn::Matrix ReferenceNodeLogits(const nn::Matrix& states) const;
-  double ReferenceEdgeLogit(const nn::Matrix& states,
-                            const nn::Matrix& h_new) const;
-  nn::Matrix ReferenceChooseScores(const nn::Matrix& states,
-                                   const nn::Matrix& h_new) const;
-
   /// Log-probability the model assigns to a complete graph (teacher
   /// forcing without learning) — used for ranking and tests.
   double LogProb(const GraphExample& example) const;
@@ -126,8 +113,7 @@ class GraphGenerator {
 
  private:
   struct StepState;
-  friend class InferenceEngine;  // reads weights for tape-free forwards
-  friend class MultiLaneDecoder;  // same, for the batched top-k decode
+  friend class MultiLaneDecoder;  // reads weights for tape-free forwards
 
   /// Runs propagation rounds over node states given current edges.
   nn::Var Propagate(const nn::Var& states,
@@ -145,21 +131,19 @@ class GraphGenerator {
   /// config). Used to sync per-lane training replicas each minibatch.
   void CopyWeightsFrom(const GraphGenerator& other);
 
-  /// Checks a warm engine out of the free list (or builds one when the
-  /// list is empty). Pairs with ReleaseEngine; checkout means two
+  /// Checks a warm decoder out of the free list (or builds one when the
+  /// list is empty). Pairs with ReleaseDecoder; checkout means two
   /// threads can never share decode scratch, no matter how many
-  /// concurrent Generate/GenerateTopK calls are in flight.
-  std::unique_ptr<InferenceEngine> AcquireEngine() const;
-  void ReleaseEngine(std::unique_ptr<InferenceEngine> engine) const;
-  /// Same free-list checkout for the batched top-k decoders. `lanes`
-  /// only sizes a freshly built decoder; a reused one grows on demand.
-  std::unique_ptr<MultiLaneDecoder> AcquireMultiDecoder(size_t lanes) const;
-  void ReleaseMultiDecoder(std::unique_ptr<MultiLaneDecoder> decoder) const;
-  /// Decode via `engine`, optionally cross-checked against the tape.
-  GeneratedGraph GenerateWithEngine(InferenceEngine& engine,
-                                    const graph4ml::TypedGraph& seed,
-                                    const std::vector<double>& condition,
-                                    Rng* rng, double temperature) const;
+  /// concurrent Generate/GenerateTopK calls are in flight. `lanes` only
+  /// sizes a freshly built decoder; a reused one grows on demand.
+  std::unique_ptr<MultiLaneDecoder> AcquireDecoder(size_t lanes) const;
+  void ReleaseDecoder(std::unique_ptr<MultiLaneDecoder> decoder) const;
+  /// cross_check mode: re-decodes on the tape from `tape_rng` (a copy of
+  /// the stream `out` was decoded from) and aborts on any difference.
+  void CheckAgainstTape(const GeneratedGraph& out,
+                        const graph4ml::TypedGraph& seed,
+                        const std::vector<double>& condition, Rng tape_rng,
+                        double temperature) const;
 
   GeneratorConfig config_;
   Rng init_rng_;
@@ -179,15 +163,13 @@ class GraphGenerator {
   /// grad_slots_[b] receives batch item b's gradients (hand-off by swap,
   /// see ParamStore::TakeGrads); buffers are reused across batches.
   std::vector<std::vector<nn::Matrix>> grad_slots_;
-  /// Free list of inference engines (mutable decode scratch), guarded
-  /// by engines_mu_. Grows lazily to the peak number of concurrent
-  /// decodes and keeps warmed-up caches across calls.
-  mutable util::Mutex engines_mu_{util::LockRank::kGenEngines,
-                                  "gen.engines"};
-  mutable std::vector<std::unique_ptr<InferenceEngine>> engines_
-      KGPIP_GUARDED_BY(engines_mu_);
-  mutable std::vector<std::unique_ptr<MultiLaneDecoder>> multi_engines_
-      KGPIP_GUARDED_BY(engines_mu_);
+  /// Free list of decoders (mutable decode scratch), guarded by
+  /// decoders_mu_. Grows lazily to the peak number of concurrent
+  /// decodes and keeps warmed-up buffers across calls.
+  mutable util::Mutex decoders_mu_{util::LockRank::kGenEngines,
+                                   "gen.engines"};
+  mutable std::vector<std::unique_ptr<MultiLaneDecoder>> decoders_
+      KGPIP_GUARDED_BY(decoders_mu_);
 
   nn::Var type_embedding_;  // (vocab) x hidden
   nn::Linear init_node_;    // hidden + hidden -> hidden (type emb + hG)

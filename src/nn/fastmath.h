@@ -16,7 +16,7 @@ namespace kgpip::nn {
 /// any SIMD formulation. These replacements are straight-line
 /// arithmetic (Cephes-style argument reduction + a degree-12 Taylor
 /// polynomial, ~2 ulp on exp), so the compiler can vectorize the
-/// engine's batched loops while the autograd ops call the *same inline
+/// decoder's batched loops while the autograd ops call the *same inline
 /// functions* per element — keeping the tape and tape-free decode
 /// byte-identical, which the gen equivalence suite enforces.
 ///

@@ -15,7 +15,7 @@ namespace kgpip::nn {
 // keep one ascending-k accumulation chain per output element and the
 // activation expressions of fastmath.h, and packed IEEE ops round
 // exactly like their scalar forms lane by lane — so the gen equivalence
-// suite's tape-vs-engine byte identity holds at every dispatch level.
+// suite's tape-vs-tape-free byte identity holds at every dispatch level.
 // (This replaced the PR 5 target_clones IFUNC approach: manual dispatch
 // is TSan-safe and lets one binary carry an AVX-512 path.)
 
@@ -52,10 +52,6 @@ void FusedLinear(const Matrix& x, const Matrix& w, const Matrix& b,
   }
 }
 
-void SigmoidInPlace(Matrix* m) {
-  simd::SigmoidN(simd::ActiveIsa(), m->data(), m->size());
-}
-
 void TanhInPlace(Matrix* m) {
   simd::TanhN(simd::ActiveIsa(), m->data(), m->size());
 }
@@ -78,8 +74,8 @@ void GruFusedForward(const Matrix& x, const Matrix& h, const Matrix& wx,
   FusedLinear(h, wh2, bh2, Activation::kNone, hg);  // [hz|hr] + bias
   z->Reshape(n, hd);
   r->Reshape(n, hd);
-  // Gate j of row i sums its x- and h-side affine parts in the same
-  // order as ForwardValue's AddInPlace (x part first), then squashes.
+  // Gate j of row i sums its x- and h-side affine parts in the tape
+  // GRU's order, Add(x part, h part), then squashes.
   for (size_t i = 0; i < n; ++i) {
     const double* xrow = xg->data() + i * 3 * hd;
     const double* hrow = hg->data() + i * 2 * hd;

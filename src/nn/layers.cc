@@ -108,36 +108,6 @@ Var GruCell::Forward(const Var& x, const Var& h) const {
   return Add(Sub(n, Mul(z, n)), Mul(z, h));
 }
 
-void GruCell::ForwardValue(const Matrix& x, const Matrix& h,
-                           GruScratch* scratch, Matrix* out) const {
-  GruScratch& s = *scratch;
-  xz_.ForwardValue(x, &s.z);
-  hz_.ForwardValue(h, &s.tmp);
-  s.z.AddInPlace(s.tmp);
-  SigmoidInPlace(&s.z);
-  xr_.ForwardValue(x, &s.r);
-  hr_.ForwardValue(h, &s.tmp);
-  s.r.AddInPlace(s.tmp);
-  SigmoidInPlace(&s.r);
-  MulInto(s.r, h, &s.rh);
-  xn_.ForwardValue(x, &s.cand);
-  hn_.ForwardValue(s.rh, &s.tmp);
-  s.cand.AddInPlace(s.tmp);
-  TanhInPlace(&s.cand);
-  out->Reshape(h.rows(), h.cols());
-  const double* zp = s.z.data();
-  const double* np = s.cand.data();
-  const double* hp = h.data();
-  double* op = out->data();
-  // Same association as the tape expression Add(Sub(n, Mul(z, n)), Mul(z, h)):
-  // (n + (-1)*(z*n)) + z*h, where x + (-1)*y is exactly x - y in IEEE754.
-  for (size_t k = 0; k < h.size(); ++k) {
-    const double zn = zp[k] * np[k];
-    const double a = np[k] + (-1.0) * zn;
-    op[k] = a + zp[k] * hp[k];
-  }
-}
-
 void GruCell::PackFused(Matrix* wx, Matrix* bx, Matrix* wh2,
                         Matrix* bh2) const {
   const auto pack = [](const Linear* const* gates, size_t count, Matrix* w,

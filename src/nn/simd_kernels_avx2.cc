@@ -66,15 +66,6 @@ struct OpsAvx2 {
     wide = _mm256_slli_epi64(wide, 52);
     return _mm256_castsi256_pd(wide);
   }
-
-  // Four uint8 codes zero-extended to doubles. int32 holds [0, 255]
-  // exactly, and int32 -> double is exact, so the widen is lossless.
-  static V LoadU8(const uint8_t* p) {
-    uint32_t packed;
-    __builtin_memcpy(&packed, p, sizeof(packed));
-    const __m128i bytes = _mm_cvtsi32_si128(static_cast<int>(packed));
-    return _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(bytes));
-  }
 };
 
 using K = Kernels<OpsAvx2>;
@@ -118,10 +109,6 @@ void MulAvx2(const double* a, const double* b, double* out, size_t n) {
 void GruCombineAvx2(const double* z, const double* n, const double* h,
                     double* out, size_t count) {
   K::GruCombine(z, n, h, out, count);
-}
-void Sq8DotAccumAvx2(const uint8_t* codes, size_t stride, const double* w,
-                     size_t dims, double* scores) {
-  K::Sq8DotAccum(codes, stride, w, dims, scores);
 }
 
 }  // namespace kgpip::nn::simd::detail

@@ -77,16 +77,6 @@ struct OpsAvx512 {
     wide = _mm512_maskz_slli_epi64(kAll, wide, 52);
     return _mm512_castsi512_pd(wide);
   }
-
-  // Eight uint8 codes zero-extended to doubles. int32 holds [0, 255]
-  // exactly and int32 -> double is exact, so the widen is lossless.
-  // (_mm256_cvtepu8_epi32 is AVX2, which -mavx512f implies; the _pd
-  // convert from epi32 is plain AVX-512F — no DQ needed.)
-  static V LoadU8(const uint8_t* p) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-    return _mm512_maskz_cvtepi32_pd(kAll, _mm256_cvtepu8_epi32(bytes));
-  }
 };
 
 using K = Kernels<OpsAvx512>;
@@ -131,10 +121,6 @@ void MulAvx512(const double* a, const double* b, double* out, size_t n) {
 void GruCombineAvx512(const double* z, const double* n, const double* h,
                       double* out, size_t count) {
   K::GruCombine(z, n, h, out, count);
-}
-void Sq8DotAccumAvx512(const uint8_t* codes, size_t stride, const double* w,
-                       size_t dims, double* scores) {
-  K::Sq8DotAccum(codes, stride, w, dims, scores);
 }
 
 }  // namespace kgpip::nn::simd::detail

@@ -31,8 +31,6 @@ void AddTanhAvx2(const double* a, const double* b, double* out, size_t n);
 void MulAvx2(const double* a, const double* b, double* out, size_t n);
 void GruCombineAvx2(const double* z, const double* n, const double* h,
                     double* out, size_t count);
-void Sq8DotAccumAvx2(const uint8_t* codes, size_t stride, const double* w,
-                     size_t dims, double* scores);
 
 void GemmAvx512(const double* a, const double* b, double* c, size_t rows,
                 size_t ac, size_t bc);
@@ -52,8 +50,6 @@ void AddTanhAvx512(const double* a, const double* b, double* out, size_t n);
 void MulAvx512(const double* a, const double* b, double* out, size_t n);
 void GruCombineAvx512(const double* z, const double* n, const double* h,
                       double* out, size_t count);
-void Sq8DotAccumAvx512(const uint8_t* codes, size_t stride, const double* w,
-                       size_t dims, double* scores);
 
 }  // namespace kgpip::nn::simd::detail
 

@@ -8,8 +8,12 @@
 #include "embed/embedder.h"
 #include "embed/sim_index.h"
 #include "embed/tsne.h"
+#include "obs/metrics.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/status.h"
+#include "util/string_util.h"
 
 namespace kgpip::embed {
 namespace {
@@ -103,38 +107,12 @@ TEST(SimIndexTest, FlatSearchExactOrder) {
   EXPECT_FALSE(index.Search({1.0}, 1).ok());
 }
 
-TEST(SimIndexTest, IvfModeFindsNearNeighbours) {
-  SimIndex::Options options;
-  options.num_cells = 4;
-  options.num_probes = 2;
-  SimIndex ivf(options);
-  kgpip::Rng rng(5);
-  // Four well-separated clusters of unit vectors.
-  std::vector<std::vector<double>> centers = {
-      {1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}};
-  for (int c = 0; c < 4; ++c) {
-    for (int i = 0; i < 12; ++i) {
-      std::vector<double> v = centers[c];
-      for (double& x : v) x += rng.Normal() * 0.05;
-      ASSERT_TRUE(
-          ivf.Add("c" + std::to_string(c) + "_" + std::to_string(i), v)
-              .ok());
-    }
-  }
-  ASSERT_TRUE(ivf.Build().ok());
-  auto hits = ivf.Search({0.0, 0.98, 0.05, 0.0}, 3);
-  ASSERT_TRUE(hits.ok());
-  for (const auto& hit : *hits) {
-    EXPECT_EQ(hit.key.substr(0, 2), "c1") << hit.key;
-  }
-}
-
 TEST(SimIndexTest, CosineDecompositionMatchesFusedKernelBitwise) {
   // The index precomputes row norms at Add time and re-assembles cosine
   // from BlockedDot + BlockedSquaredNorm at query time. That split must
   // reproduce the fused BlockedCosine BIT for bit (each accumulator
   // chain is untouched by the split), or precomputing norms would change
-  // hit order relative to the pre-IVF flat scan.
+  // hit order relative to the fused per-pair recompute.
   kgpip::Rng rng(7);
   for (size_t dims : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
                       size_t{7}, size_t{8}, size_t{16}, size_t{17},
@@ -184,7 +162,7 @@ TEST(SimIndexTest, TopKMatchesFullSortReference) {
       for (double& x : v) x = rng.Normal();
     }
     vectors.push_back(v);
-    ASSERT_TRUE(index.Add("k" + std::to_string(i), v).ok());
+    ASSERT_TRUE(index.Add(StrFormat("k%zu", i), v).ok());
   }
   ASSERT_TRUE(index.Build().ok());
 
@@ -206,7 +184,7 @@ TEST(SimIndexTest, TopKMatchesFullSortReference) {
                      });
     ASSERT_EQ(hits->size(), std::min(k, kN)) << "k=" << k;
     for (size_t i = 0; i < hits->size(); ++i) {
-      EXPECT_EQ((*hits)[i].key, "k" + std::to_string(ranked[i].second))
+      EXPECT_EQ((*hits)[i].key, StrFormat("k%zu", ranked[i].second))
           << "k=" << k << " rank " << i;
       EXPECT_EQ((*hits)[i].similarity, ranked[i].first)
           << "k=" << k << " rank " << i;
@@ -214,36 +192,43 @@ TEST(SimIndexTest, TopKMatchesFullSortReference) {
   }
 }
 
-TEST(SimIndexTest, SearchBatchMatchesSequentialSearches) {
+TEST(SimIndexTest, SteadyStateSearchDoesNotGrowScratch) {
+  // Search scores into per-thread scratch; embed.index.search_allocs
+  // ticks only when that buffer's capacity grows. After one warm-up
+  // query, repeated searches of any k must not allocate — the serve
+  // path's per-request allocation budget.
   SimIndex index;
   kgpip::Rng rng(23);
   for (size_t i = 0; i < 50; ++i) {
     std::vector<double> v(8);
     for (double& x : v) x = rng.Normal();
-    ASSERT_TRUE(index.Add("v" + std::to_string(i), v).ok());
+    ASSERT_TRUE(index.Add(StrFormat("v%zu", i), v).ok());
   }
   ASSERT_TRUE(index.Build().ok());
-  std::vector<std::vector<double>> queries;
-  for (size_t q = 0; q < 12; ++q) {
-    std::vector<double> v(8);
-    for (double& x : v) x = rng.Normal();
-    queries.push_back(v);
+  std::vector<double> query(8);
+  for (double& x : query) x = rng.Normal();
+  ASSERT_TRUE(index.Search(query, 1).ok());
+  obs::Counter* allocs =
+      obs::MetricsRegistry::Global().GetCounter("embed.index.search_allocs");
+  const int64_t before = allocs->value();
+  for (size_t k : {size_t{1}, size_t{3}, size_t{50}, size_t{1}}) {
+    ASSERT_TRUE(index.Search(query, k).ok());
   }
-  auto batch = index.SearchBatch(queries, 3);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    auto single = index.Search(queries[q], 3);
-    ASSERT_TRUE(single.ok());
-    ASSERT_EQ((*batch)[q].size(), single->size());
-    for (size_t i = 0; i < single->size(); ++i) {
-      EXPECT_EQ((*batch)[q][i].key, (*single)[i].key);
-      EXPECT_EQ((*batch)[q][i].similarity, (*single)[i].similarity);
-    }
-  }
-  // A bad query anywhere in the batch surfaces as the batch's error.
-  queries[4] = {1.0};  // wrong dimensionality
-  EXPECT_FALSE(index.SearchBatch(queries, 3).ok());
+  EXPECT_EQ(allocs->value(), before) << "steady-state Search grew scratch";
+}
+
+TEST(SimIndexTest, FailsClosedOnEmptyIndexAndCancelledToken) {
+  SimIndex empty;
+  EXPECT_EQ(empty.Search({1.0, 0.0}, 1).status().code(),
+            StatusCode::kFailedPrecondition);
+  SimIndex index;
+  ASSERT_TRUE(index.Add("x", {1.0, 0.0}).ok());
+  ASSERT_TRUE(index.Build().ok());
+  util::CancelToken cancel;
+  ASSERT_TRUE(index.Search({1.0, 0.0}, 1, &cancel).ok());
+  cancel.Cancel();
+  EXPECT_EQ(index.Search({1.0, 0.0}, 1, &cancel).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(TsneTest, SeparatesObviousClusters) {

@@ -49,12 +49,12 @@ TEST(StatusTest, OkAndError) {
 }
 
 TEST(ResultTest, HoldsValueOrStatus) {
-  Result<int> good(42);
-  ASSERT_TRUE(good.ok());
-  EXPECT_EQ(*good, 42);
   Result<int> bad(Status::InvalidArgument("nope"));
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  Result<int> good(42);
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(*good, 42);
 }
 
 Result<int> HalveEven(int x) {
