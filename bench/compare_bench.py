@@ -14,12 +14,12 @@ work done on pool worker threads), but it absorbs co-tenant noise on a
 shared CI host; cpu_time is immune to that noise. A genuine slowdown in
 the measured code moves both; noise moves only real_time.
 
-A benchmark can appear several times in one report (e.g. the threads=1 /
-threads=<hw> pairs collapse to one name on a single-core host); each
-side is reduced to its best (minimum) time per clock first, which also
-damps one noisy iteration. New benchmarks with no baseline entry are
-reported but never fail the gate — they start gating once the baseline
-is re-recorded.
+A benchmark can appear several times in one report (--benchmark_repetitions
+rows, or threads=1 / threads=<hw> pairs that collapse to one name on a
+single-core host); each side is reduced to its best (minimum) time per
+clock first, which also damps one noisy run. New benchmarks with no
+baseline entry are reported but never fail the gate — they start gating
+once the baseline is re-recorded.
 
 The baseline is refreshed deliberately (not on every run) by copying a
 fresh report over bench/baselines/BENCH_gen.baseline.json in the same

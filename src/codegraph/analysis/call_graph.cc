@@ -23,8 +23,7 @@ bool CallGraphResult::Reaches(int src, int dst) const {
   return false;
 }
 
-CallGraphResult CallGraphPass::Run(PassManager& pm) const {
-  const CodeGraph& graph = pm.graph();
+CallGraphResult BuildCallGraph(const CodeGraph& graph) {
   CallGraphResult result;
 
   std::vector<std::vector<int>> flow(graph.nodes.size());
@@ -62,10 +61,7 @@ CallGraphResult CallGraphPass::Run(PassManager& pm) const {
         }
       }
     }
-    for (int callee : direct) {
-      result.callees[call].push_back(callee);
-      result.callers[callee].push_back(call);
-    }
+    for (int callee : direct) result.callees[call].push_back(callee);
   }
   return result;
 }

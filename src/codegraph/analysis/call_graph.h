@@ -4,7 +4,7 @@
 #include <map>
 #include <vector>
 
-#include "codegraph/analysis/pass_manager.h"
+#include "codegraph/code_graph.h"
 
 namespace kgpip::codegraph::analysis {
 
@@ -16,18 +16,13 @@ namespace kgpip::codegraph::analysis {
 struct CallGraphResult {
   std::vector<int> call_nodes;              // kCall node ids, ascending
   std::map<int, std::vector<int>> callees;  // call id -> directly-fed calls
-  std::map<int, std::vector<int>> callers;  // inverse of `callees`
 
   /// True if data flows (transitively) from call node `src` into `dst`.
   bool Reaches(int src, int dst) const;
 };
 
-class CallGraphPass : public AnalysisPass {
- public:
-  using Result = CallGraphResult;
-  const char* name() const override { return "call-graph"; }
-  CallGraphResult Run(PassManager& pm) const;
-};
+/// Out-of-range edges are skipped (the verifier reports them).
+CallGraphResult BuildCallGraph(const CodeGraph& graph);
 
 }  // namespace kgpip::codegraph::analysis
 

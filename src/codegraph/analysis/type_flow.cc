@@ -127,11 +127,10 @@ const TypeEnv& TypeFlowResult::EnvAt(const Stmt* stmt) const {
   return it == stmt_in.end() ? kEmpty : it->second;
 }
 
-TypeFlowResult TypeFlowPass::Run(PassManager& pm) const {
+TypeFlowResult InferTypes(const Module& module) {
   TypeFlowResult result;
-  result.imports = CollectImports(pm.module());
-  WalkBlock(pm.module().statements, TypeEnv(), result.imports, true,
-            &result);
+  result.imports = CollectImports(module);
+  WalkBlock(module.statements, TypeEnv(), result.imports, true, &result);
   return result;
 }
 

@@ -177,13 +177,4 @@ std::string WriteCsvText(const Table& table, char delimiter) {
   return out;
 }
 
-Status WriteCsvFile(const Table& table, const std::string& path,
-                    char delimiter) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open '" + path + "' for write");
-  out << WriteCsvText(table, delimiter);
-  if (!out) return Status::IoError("write failed for '" + path + "'");
-  return Status::Ok();
-}
-
 }  // namespace kgpip

@@ -35,8 +35,6 @@ class HyperParams {
     auto it = strings_.find(key);
     return it == strings_.end() ? fallback : it->second;
   }
-  bool HasNum(const std::string& key) const { return numeric_.count(key); }
-  bool HasStr(const std::string& key) const { return strings_.count(key); }
 
   const std::map<std::string, double>& numeric() const { return numeric_; }
   const std::map<std::string, std::string>& strings() const {

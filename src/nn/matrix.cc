@@ -33,12 +33,6 @@ void Matrix::AddScaled(const Matrix& other, double scale) {
   }
 }
 
-double Matrix::Norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
 Matrix Matrix::MatMul(const Matrix& a, const Matrix& b) {
   Matrix c;
   MatMulInto(a, b, &c);

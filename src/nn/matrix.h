@@ -83,9 +83,6 @@ class Matrix {
   /// this += scale * other.
   void AddScaled(const Matrix& other, double scale);
 
-  /// Frobenius norm.
-  double Norm() const;
-
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }

@@ -29,7 +29,7 @@ namespace kgpip::util {
 ///      machine) spawns no threads at all: every helper runs the loop
 ///      body inline on the calling thread. Nested `ParallelFor` calls
 ///      from inside a worker also run inline, which keeps composed
-///      parallel code (e.g. forest fits inside parallel CV folds)
+///      parallel code (e.g. a forest fit called from a pool task)
 ///      deadlock-free.
 ///
 /// Instrumentation: `pool.tasks_executed`, `pool.steals`,
@@ -83,20 +83,6 @@ class ThreadPool {
     std::vector<T> out(n);
     ParallelFor(n, [&](size_t i, size_t /*lane*/) { out[i] = fn(i); });
     return out;
-  }
-
-  /// Ordered reduction: maps every item, then folds the per-item results
-  /// strictly left-to-right on the calling thread. `fold(acc, value, i)`
-  /// sees items in ascending index order regardless of thread count, so
-  /// floating-point accumulation is bit-stable.
-  template <typename Acc, typename T>
-  Acc ParallelMapReduce(size_t n, Acc init,
-                        const std::function<T(size_t item)>& map,
-                        const std::function<void(Acc&, T&, size_t)>& fold) {
-    std::vector<T> mapped = ParallelMap<T>(n, map);
-    Acc acc = std::move(init);
-    for (size_t i = 0; i < n; ++i) fold(acc, mapped[i], i);
-    return acc;
   }
 
  private:

@@ -9,6 +9,7 @@
 #include "graph4ml/filter.h"
 #include "graph4ml/graph4ml.h"
 #include "graph4ml/vocab.h"
+#include "util/string_util.h"
 
 namespace kgpip {
 namespace {
@@ -22,7 +23,6 @@ struct EnableVerifier {
 } enable_verifier_;
 
 using codegraph::AnalyzeScript;
-using codegraph::AnalyzerOptions;
 using codegraph::CorpusGenerator;
 using codegraph::CorpusOptions;
 using codegraph::NodeKind;
@@ -202,6 +202,44 @@ TEST(AnalyzerTest, FindReadCsvArgumentPrefersThePipelineFeed) {
       "model.fit(df, y)\n");
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
   EXPECT_EQ(codegraph::FindReadCsvArgument(*graph), "train.csv");
+}
+
+// Pins every emitted graph byte for byte: an FNV-1a hash over each
+// corpus script's nodes (kind, label, line), edges (src, dst, kind) and
+// FindReadCsvArgument result, for the default-seed corpus of the first
+// eight training datasets (160 scripts).
+TEST(AnalyzerTest, CorpusGraphsMatchGolden) {
+  auto specs = BenchmarkRegistry().TrainingSpecs();
+  specs.resize(8);
+  auto scripts = CorpusGenerator(CorpusOptions{}).GenerateCorpus(specs);
+  ASSERT_EQ(scripts.size(), 160u);
+  std::string bytes;
+  auto put = [&bytes](long long value) {
+    bytes += std::to_string(value);
+    bytes += ',';
+  };
+  size_t nodes = 0;
+  for (const auto& script : scripts) {
+    auto graph = AnalyzeScript(script.name, script.text);
+    ASSERT_TRUE(graph.ok()) << script.name << ": "
+                            << graph.status().ToString();
+    bytes += script.name + '\n';
+    for (const auto& node : graph->nodes) {
+      put(static_cast<int>(node.kind));
+      bytes += node.label + '\t';
+      put(node.line);
+    }
+    bytes += '\n';
+    for (const auto& edge : graph->edges) {
+      put(edge.src);
+      put(edge.dst);
+      put(static_cast<int>(edge.kind));
+    }
+    bytes += '\n' + codegraph::FindReadCsvArgument(*graph) + '\n';
+    nodes += graph->nodes.size();
+  }
+  EXPECT_EQ(nodes, 16432u);
+  EXPECT_EQ(Fnv1a64(bytes), 0x5d1f966d2356e8d6u);
 }
 
 TEST(MlApiTest, CanonicalizationAndReverseLookup) {

@@ -60,24 +60,6 @@ TEST(ThreadPoolTest, ParallelMapPreservesOrder) {
   }
 }
 
-TEST(ThreadPoolTest, OrderedReductionIsBitIdenticalAcrossThreadCounts) {
-  // Sums of irrationals are order-sensitive in floating point; the
-  // ordered fold must erase scheduling from the result entirely.
-  auto reduce = [] {
-    return ThreadPool::Global().ParallelMapReduce<double, double>(
-        5000, 0.0,
-        [](size_t i) {
-          return std::sqrt(static_cast<double>(i)) * 1e-3 +
-                 std::sin(static_cast<double>(i));
-        },
-        [](double& acc, double& v, size_t) { acc += v; });
-  };
-  auto sums = WithPoolSizes<double>({1, 2, 4, 7}, reduce);
-  for (size_t i = 1; i < sums.size(); ++i) {
-    ASSERT_EQ(sums[0], sums[i]) << "thread-count-dependent reduction";
-  }
-}
-
 TEST(ThreadPoolTest, LowestIndexExceptionWins) {
   ThreadPool::Configure(4);
   try {
