@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "codegraph/analyzer.h"
 #include "codegraph/corpus.h"
@@ -32,13 +31,10 @@
 namespace kgpip {
 namespace {
 
-/// Thread-count axis for the parallel benchmarks: 1 (fully inline) vs the
-/// machine's hardware concurrency. run_benches.sh records the pair so the
-/// speedup is visible in BENCH_micro.json.
-int HardwareThreads() {
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
+/// Thread-count axis for the parallel benchmarks: 1 (fully inline) vs a
+/// fixed 4, so benchmark names are the same on every host and a baseline
+/// recorded on one machine lists exactly the names another produces.
+constexpr int kPoolThreads = 4;
 
 /// Applies the benchmark's thread-count argument to the global pool and
 /// labels the state. Restores the default pool in ScopedPool's dtor.
@@ -192,7 +188,7 @@ void BM_GenGenerateTopK(benchmark::State& state) {
     benchmark::DoNotOptimize(batch.size());
   }
 }
-BENCHMARK(BM_GenGenerateTopK)->Arg(1)->Arg(HardwareThreads());
+BENCHMARK(BM_GenGenerateTopK)->Arg(1)->Arg(kPoolThreads);
 
 void BM_LearnerFit(benchmark::State& state) {
   static const char* kLearners[] = {"logistic_regression", "decision_tree",
@@ -280,7 +276,7 @@ void BM_ParallelForDispatch(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(HardwareThreads());
+BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(kPoolThreads);
 
 void BM_CorpusAnalysisFanout(benchmark::State& state) {
   // The mining hot path end-to-end: per-script static analysis + filter
@@ -299,7 +295,7 @@ void BM_CorpusAnalysisFanout(benchmark::State& state) {
     benchmark::DoNotOptimize(store.Build(scripts).ok());
   }
 }
-BENCHMARK(BM_CorpusAnalysisFanout)->Arg(1)->Arg(HardwareThreads());
+BENCHMARK(BM_CorpusAnalysisFanout)->Arg(1)->Arg(kPoolThreads);
 
 void BM_ForestFit(benchmark::State& state) {
   // Per-tree parallel forest training with forked RNG streams.
@@ -318,7 +314,7 @@ void BM_ForestFit(benchmark::State& state) {
     benchmark::DoNotOptimize(model.value()->Fit(*data).ok());
   }
 }
-BENCHMARK(BM_ForestFit)->Arg(1)->Arg(HardwareThreads());
+BENCHMARK(BM_ForestFit)->Arg(1)->Arg(kPoolThreads);
 
 }  // namespace
 }  // namespace kgpip

@@ -15,9 +15,8 @@ shared CI host; cpu_time is immune to that noise. A genuine slowdown in
 the measured code moves both; noise moves only real_time.
 
 A benchmark can appear several times in one report (--benchmark_repetitions
-rows, or threads=1 / threads=<hw> pairs that collapse to one name on a
-single-core host); each side is reduced to its best (minimum) time per
-clock first, which also damps one noisy run. New benchmarks with no
+rows); each side is reduced to its best (minimum) time per clock first,
+which also damps one noisy run. New benchmarks with no
 baseline entry are reported but never fail the gate — they start gating
 once the baseline is re-recorded.
 

@@ -210,9 +210,6 @@ class Parser {
       if (tok.text == "from") return ParseFromImport();
       if (tok.text == "for") return ParseFor();
       if (tok.text == "if") return ParseIf();
-      if (tok.text == "print" || tok.text == "pass") {
-        // treat like plain expression statements
-      }
     }
     return ParseSimpleStatement();
   }

@@ -47,10 +47,10 @@ struct TrialGuardOptions {
   int circuit_breaker_threshold = 3;
 };
 
-/// Consecutive-failure circuit breaker over string-keyed groups (PR 1's
-/// per-skeleton breaker, factored out so the serve daemon can reuse the
-/// identical policy per tenant). Not thread-safe on its own; TrialGuard
-/// runs single-threaded and serve wraps it in its tenant-state mutex.
+/// Consecutive-failure circuit breaker over string-keyed groups: TrialGuard
+/// keys it by skeleton. Not thread-safe; TrialGuard runs single-threaded.
+/// (The serve daemon's per-tenant breaker is separate: it half-opens after
+/// a cooldown, which this one never does.)
 class CircuitBreaker {
  public:
   /// `threshold` consecutive failures open the circuit; <= 0 disables
@@ -72,15 +72,6 @@ class CircuitBreaker {
   }
 
   void RecordSuccess(const std::string& key) { consecutive_[key] = 0; }
-
-  /// Half-open probe support: forgets the open state (and the streak) so
-  /// the next request through gets one real attempt.
-  void Reset(const std::string& key) {
-    open_.erase(key);
-    consecutive_[key] = 0;
-  }
-
-  int threshold() const { return threshold_; }
 
  private:
   int threshold_;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <utility>
 
 #include "nn/simd_kernels.h"
 #include "obs/metrics.h"
-#include "obs/sliding_window.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/request_context.h"
@@ -45,7 +45,8 @@ obs::Counter* ServeCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
 
-constexpr int kWindowSlices = 6;
+/// Watchdog scan period: how late, at most, a deadline cancel lands.
+constexpr auto kWatchdogPeriod = std::chrono::milliseconds(20);
 
 const char* CacheTierName(int tier) {
   switch (tier) {
@@ -94,10 +95,6 @@ ServeOptions ServeOptions::FromEnv() {
   o.audit_ring_entries = static_cast<size_t>(std::max<int64_t>(
       1, EnvInt("KGPIP_SERVE_AUDIT_RING",
                 static_cast<int64_t>(o.audit_ring_entries))));
-  o.window_seconds =
-      std::max(0.1, EnvDouble("KGPIP_SERVE_WINDOW_SECONDS", o.window_seconds));
-  o.slo_target_seconds =
-      std::max(0.0, EnvDouble("KGPIP_SERVE_SLO_TARGET", o.slo_target_seconds));
   return o;
 }
 
@@ -190,14 +187,12 @@ void Server::Respond(const std::shared_ptr<Pending>& pending,
   response.request_id = pending->id;
   pending->state.store(RequestState::kDone, std::memory_order_release);
 
-  // The winner writes the request's life story — audit line + windowed
-  // samples — BEFORE resolving the promise, so a caller that observes
-  // its future ready also observes its own audit record. No server lock
-  // is held here; audit (rank 95) and window (rank 15) locks are leaves
-  // from this path.
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  const double latency = response.latency_seconds;
-  const int64_t total_micros = static_cast<int64_t>(latency * 1e6);
+  // The winner writes the request's audit record BEFORE resolving the
+  // promise, so a caller that observes its future ready also observes
+  // its own audit record. No server lock is held here; the audit lock
+  // (rank 95) is a leaf from this path.
+  const int64_t total_micros =
+      static_cast<int64_t>(response.latency_seconds * 1e6);
   const int64_t queued_micros =
       pending->queue_wait_micros.load(std::memory_order_acquire);
 
@@ -220,27 +215,6 @@ void Server::Respond(const std::shared_ptr<Pending>& pending,
   record.outcome = response.status.code();
   if (!response.status.ok()) record.detail = response.status.message();
   audit_.Append(record);
-
-  metrics
-      .GetSlidingHistogram("serve.window.latency_seconds." + record.tenant,
-                           options_.window_seconds, kWindowSlices)
-      ->Record(latency);
-  metrics
-      .GetSlidingCounter("serve.window.requests", options_.window_seconds,
-                         kWindowSlices)
-      ->Add(1);
-  if (response.status.code() == StatusCode::kResourceExhausted) {
-    metrics
-        .GetSlidingCounter("serve.window.sheds", options_.window_seconds,
-                           kWindowSlices)
-        ->Add(1);
-  }
-  if (response.cache_hit) {
-    metrics
-        .GetSlidingCounter("serve.window.cache_hits", options_.window_seconds,
-                           kWindowSlices)
-        ->Add(1);
-  }
 
   pending->promise.set_value(std::move(response));
 }
@@ -440,62 +414,10 @@ void Server::RecordOutcomeForTenant(const std::string& tenant, bool ok) {
   }
 }
 
-void Server::ExportWindowGauges() {
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  std::vector<std::string> tenants;
-  {
-    util::MutexLock lock(mu_);
-    tenants.reserve(tenants_.size());
-    for (const auto& [name, state] : tenants_) tenants.push_back(name);
-  }
-  for (const std::string& tenant : tenants) {
-    const obs::SlidingWindowHistogram::Snapshot window =
-        metrics
-            .GetSlidingHistogram("serve.window.latency_seconds." + tenant,
-                                 options_.window_seconds, kWindowSlices)
-            ->GetSnapshot();
-    metrics.GetGauge("serve.window.p50_seconds." + tenant)
-        ->Set(window.Quantile(0.50));
-    metrics.GetGauge("serve.window.p99_seconds." + tenant)
-        ->Set(window.Quantile(0.99));
-    // SLO burn: the fraction of this tenant's windowed requests slower
-    // than the target. 1.0 = every recent request blew the SLO.
-    metrics.GetGauge("serve.slo_burn." + tenant)
-        ->Set(window.FractionAbove(options_.slo_target_seconds));
-  }
-  const int64_t requests =
-      metrics
-          .GetSlidingCounter("serve.window.requests", options_.window_seconds,
-                             kWindowSlices)
-          ->WindowedCount();
-  const int64_t sheds =
-      metrics
-          .GetSlidingCounter("serve.window.sheds", options_.window_seconds,
-                             kWindowSlices)
-          ->WindowedCount();
-  const int64_t hits =
-      metrics
-          .GetSlidingCounter("serve.window.cache_hits",
-                             options_.window_seconds, kWindowSlices)
-          ->WindowedCount();
-  const double denom = requests > 0 ? static_cast<double>(requests) : 1.0;
-  metrics.GetGauge("serve.window.shed_rate")
-      ->Set(static_cast<double>(sheds) / denom);
-  metrics.GetGauge("serve.window.cache_hit_rate")
-      ->Set(static_cast<double>(hits) / denom);
-}
-
 void Server::WatchdogLoop() {
   static obs::Counter* cancels = ServeCounter("serve.deadline_cancels");
-  const auto period = std::chrono::duration<double>(
-      std::max(0.001, options_.watchdog_period_seconds));
-  Stopwatch since_gauge_export;
   while (!stopping_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(period);
-    if (since_gauge_export.ElapsedSeconds() >= 1.0) {
-      since_gauge_export.Reset();
-      ExportWindowGauges();
-    }
+    std::this_thread::sleep_for(kWatchdogPeriod);
     std::vector<std::shared_ptr<Pending>> expired_queued;
     {
       util::MutexLock lock(mu_);
@@ -854,6 +776,9 @@ Json Server::DebugStatus() const {
     out.Set("cache", std::move(c));
   }
 
+  // The whole audit ring, oldest first: the last audit_ring_entries
+  // finished requests feed both the audit tail and the windows view.
+  const std::vector<Json> recent = audit_.Tail(audit_.options().ring_capacity);
   {
     Json a = Json::Object();
     a.Set("records_written", audit_.records_written());
@@ -861,13 +786,16 @@ Json Server::DebugStatus() const {
     a.Set("path", options_.audit_log_path.empty() ? "ring-only"
                                                   : options_.audit_log_path);
     Json tail = Json::Array();
-    for (Json& record : audit_.Tail(8)) tail.Append(std::move(record));
+    for (size_t i = recent.size() - std::min<size_t>(8, recent.size());
+         i < recent.size(); ++i) {
+      tail.Append(recent[i]);
+    }
     a.Set("tail", std::move(tail));
     out.Set("audit", std::move(a));
   }
 
-  // Metrics (registry lock rank 30, window locks 15 — both below any
-  // lock this thread still holds, i.e. none).
+  // Metrics (registry lock rank 30, below any lock this thread still
+  // holds, i.e. none).
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   {
     // Size and traffic of the similarity index behind skeleton
@@ -895,20 +823,36 @@ Json Server::DebugStatus() const {
     out.Set("counters", std::move(counters));
   }
   {
-    Json windows = Json::Object();
-    for (const TenantEntry& entry : tenants) {
-      windows.Set("latency_seconds." + entry.name,
-                  metrics
-                      .GetSlidingHistogram(
-                          "serve.window.latency_seconds." + entry.name,
-                          options_.window_seconds, kWindowSlices)
-                      ->GetSnapshot()
-                      .ToJson());
+    // Recent traffic: per-tenant exact nearest-rank p50/p99 of
+    // total_micros, and the shares of ring records that were shed
+    // (kResourceExhausted) or answered from the result cache.
+    std::map<std::string, std::vector<int64_t>> micros;
+    int64_t sheds = 0;
+    int64_t hits = 0;
+    const std::string shed = StatusCodeName(StatusCode::kResourceExhausted);
+    for (const Json& record : recent) {
+      micros[record.Get("tenant").AsString()].push_back(
+          record.Get("total_micros").AsInt());
+      if (record.Get("outcome").AsString() == shed) ++sheds;
+      if (record.Get("cache_tier").AsString() == "result") ++hits;
     }
-    windows.Set("shed_rate",
-                metrics.GetGauge("serve.window.shed_rate")->value());
-    windows.Set("cache_hit_rate",
-                metrics.GetGauge("serve.window.cache_hit_rate")->value());
+    Json windows = Json::Object();
+    for (auto& [tenant, values] : micros) {
+      std::sort(values.begin(), values.end());
+      auto nearest_rank = [&values](size_t percent) {
+        const size_t rank = (percent * values.size() + 99) / 100;  // >= 1
+        return static_cast<double>(values[rank - 1]) * 1e-6;
+      };
+      Json w = Json::Object();
+      w.Set("count", static_cast<int64_t>(values.size()));
+      w.Set("p50", nearest_rank(50));
+      w.Set("p99", nearest_rank(99));
+      windows.Set("latency_seconds." + tenant, std::move(w));
+    }
+    const double n = recent.empty() ? 1.0 : static_cast<double>(recent.size());
+    windows.Set("requests", static_cast<int64_t>(recent.size()));
+    windows.Set("shed_rate", static_cast<double>(sheds) / n);
+    windows.Set("cache_hit_rate", static_cast<double>(hits) / n);
     out.Set("windows", std::move(windows));
   }
   {
@@ -933,8 +877,6 @@ Json Server::DebugStatus() const {
     opts.Set("max_queue_depth", options_.max_queue_depth);
     opts.Set("default_deadline_seconds", options_.default_deadline_seconds);
     opts.Set("degrade_queue_depth", options_.degrade_queue_depth);
-    opts.Set("window_seconds", options_.window_seconds);
-    opts.Set("slo_target_seconds", options_.slo_target_seconds);
     out.Set("options", std::move(opts));
   }
   return out;
@@ -986,10 +928,13 @@ std::string Server::DebugStatusText() const {
                         audit.Get("records_written").AsInt()),
                     static_cast<long long>(audit.Get("write_errors").AsInt()),
                     audit.Get("path").AsString().c_str());
-  text += StrFormat("windows: shed_rate=%.3f cache_hit_rate=%.3f\n",
-                    status.Get("windows").Get("shed_rate").AsDouble(),
-                    status.Get("windows").Get("cache_hit_rate").AsDouble());
-  for (const auto& [name, w] : status.Get("windows").members()) {
+  const Json& windows = status.Get("windows");
+  text += StrFormat(
+      "windows (last %lld requests): shed_rate=%.3f cache_hit_rate=%.3f\n",
+      static_cast<long long>(windows.Get("requests").AsInt()),
+      windows.Get("shed_rate").AsDouble(),
+      windows.Get("cache_hit_rate").AsDouble());
+  for (const auto& [name, w] : windows.members()) {
     if (!w.is_object()) continue;
     text += StrFormat("  %s  n=%lld p50=%.3fs p99=%.3fs\n", name.c_str(),
                       static_cast<long long>(w.Get("count").AsInt()),

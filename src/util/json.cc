@@ -12,6 +12,12 @@ namespace {
 
 /// Recursive-descent JSON parser over a string_view cursor.
 class Parser {
+  /// Deepest array/object nesting accepted. Each level costs two stack
+  /// frames, so an uncapped hostile document ("[[[[...") overflows the
+  /// stack. The deepest documents this project writes nest far less: a
+  /// saved model artifact 7 levels, a serve cache entry 3.
+  static constexpr int kMaxDepth = 1024;
+
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
@@ -32,9 +38,15 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return Err("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        Result<Json> nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"':
         return ParseString();
       case 't':
@@ -216,6 +228,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void AppendEscaped(std::string* out, const std::string& s) {

@@ -30,9 +30,9 @@ enum class LockRank : int {
   /// outermost lock of the serving daemon; request execution (cache,
   /// model, pool) runs with it released.
   kServeServer = 100,
-  /// serve::AuditLog::mu_ — audit file + tail ring. Below the server
-  /// lock so a status snapshot may read the tail while holding mu_;
-  /// Append itself always runs with the server lock released.
+  /// serve::AuditLog::mu_ — audit file + tail ring. Append and the
+  /// statusz ring read both run with the server lock released; the rank
+  /// only fixes the order should they ever nest inside it.
   kServeAudit = 95,
   /// serve::ArtifactCache::mu_ — memory-tier LRU + stats. Held only
   /// around map/list surgery; disk I/O happens outside it.
@@ -58,10 +58,6 @@ enum class LockRank : int {
   kObsMetrics = 30,
   /// obs::Tracer span buffer.
   kObsTrace = 20,
-  /// obs::SlidingWindowHistogram / SlidingWindowCounter slice state. One
-  /// window is locked at a time (registry snapshots walk them
-  /// sequentially), always below the registry map lock.
-  kObsWindow = 15,
   /// Reserved for logging. Today logging is lock-free (atomic threshold,
   /// single fwrite per record); the rank documents where a sink lock
   /// would sit: innermost, because any subsystem logs while holding its

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -779,6 +781,106 @@ TEST_F(ServeFixture, AuditRequestIdsMatchTraceSpanIds) {
   }
   EXPECT_EQ(audit_ids, response_ids);
   obs::Tracer::Global().Clear();
+}
+
+// Recomputes statusz's recent-traffic view from the audit ring and checks
+// DebugStatus agrees: per-tenant count and exact nearest-rank p50/p99 of
+// total_micros (the smallest sample with at least q of the tenant's
+// samples at or below it), plus the shed and result-cache-hit shares.
+void ExpectWindowsMatchAuditRing(const Server& server) {
+  const std::vector<Json> ring =
+      server.audit_log().Tail(server.options().audit_ring_entries);
+  ASSERT_FALSE(ring.empty());
+  std::map<std::string, std::vector<int64_t>> micros;
+  int sheds = 0;
+  int hits = 0;
+  for (const Json& record : ring) {
+    micros[record.Get("tenant").AsString()].push_back(
+        record.Get("total_micros").AsInt());
+    if (record.Get("outcome").AsString() ==
+        StatusCodeName(StatusCode::kResourceExhausted)) {
+      ++sheds;
+    }
+    if (record.Get("cache_tier").AsString() == "result") ++hits;
+  }
+  const double n = static_cast<double>(ring.size());
+
+  const Json windows = server.DebugStatus().Get("windows");
+  EXPECT_EQ(windows.Get("requests").AsInt(),
+            static_cast<int64_t>(ring.size()));
+  EXPECT_DOUBLE_EQ(windows.Get("shed_rate").AsDouble(), sheds / n);
+  EXPECT_DOUBLE_EQ(windows.Get("cache_hit_rate").AsDouble(), hits / n);
+  size_t tenant_entries = 0;
+  for (const auto& [name, value] : windows.members()) {
+    if (value.is_object()) ++tenant_entries;
+  }
+  EXPECT_EQ(tenant_entries, micros.size());
+  for (auto& [tenant, values] : micros) {
+    std::sort(values.begin(), values.end());
+    auto nearest_rank = [&values](size_t percent) {
+      for (size_t i = 0; i < values.size(); ++i) {
+        if ((i + 1) * 100 >= percent * values.size()) return values[i];
+      }
+      return values.back();
+    };
+    const Json& w = windows.Get("latency_seconds." + tenant);
+    ASSERT_TRUE(w.is_object()) << "no window for tenant " << tenant;
+    EXPECT_EQ(w.Get("count").AsInt(), static_cast<int64_t>(values.size()));
+    EXPECT_DOUBLE_EQ(w.Get("p50").AsDouble(), nearest_rank(50) * 1e-6);
+    EXPECT_DOUBLE_EQ(w.Get("p99").AsDouble(), nearest_rank(99) * 1e-6);
+  }
+}
+
+TEST_F(ServeFixture, StatuszWindowsAreDerivedFromTheAuditRing) {
+  ServeOptions options = FastOptions();
+  options.tenant_tokens_per_second = 0.001;  // effectively no refill
+  options.tenant_burst_tokens = 3.0;         // a tenant's 4th request sheds
+  Server server(model_, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto submit = [&server](const char* tenant, uint64_t seed,
+                          int max_trials = 8) {
+    FitRequest request;
+    request.tenant = tenant;
+    request.table = MakeTable(seed);
+    request.max_trials = max_trials;
+    return server.Submit(std::move(request)).get();
+  };
+  ASSERT_TRUE(submit("alpha", 960).status.ok());
+  EXPECT_TRUE(submit("alpha", 960).cache_hit);  // same table: result tier
+  // Same table, another trial budget: only the query tier answers, which
+  // is not a result-cache hit.
+  ASSERT_TRUE(submit("alpha", 960, 2).status.ok());
+  EXPECT_EQ(server.audit_log().Tail(1)[0].Get("cache_tier").AsString(),
+            "query");
+  for (uint64_t seed : {961, 962, 963}) {
+    ASSERT_TRUE(submit("beta", seed).status.ok());
+  }
+  EXPECT_EQ(submit("beta", 964).status.code(), StatusCode::kResourceExhausted);
+  server.Stop();
+
+  ExpectWindowsMatchAuditRing(server);
+  const Json windows = server.DebugStatus().Get("windows");
+  EXPECT_EQ(windows.Get("requests").AsInt(), 7);
+  EXPECT_DOUBLE_EQ(windows.Get("shed_rate").AsDouble(), 1.0 / 7);
+  EXPECT_DOUBLE_EQ(windows.Get("cache_hit_rate").AsDouble(), 1.0 / 7);
+  EXPECT_EQ(windows.Get("latency_seconds.alpha").Get("count").AsInt(), 3);
+  EXPECT_EQ(windows.Get("latency_seconds.beta").Get("count").AsInt(), 4);
+
+  // A queue-full shed is counted the same way.
+  ServeOptions full = FastOptions();
+  full.max_queue_depth = 0;
+  Server shedding(model_, full);
+  ASSERT_TRUE(shedding.Start().ok());
+  FitRequest request;
+  request.tenant = "beta";
+  request.table = MakeTable(965);
+  EXPECT_EQ(shedding.Submit(std::move(request)).get().status.code(),
+            StatusCode::kResourceExhausted);
+  shedding.Stop();
+  ExpectWindowsMatchAuditRing(shedding);
+  EXPECT_DOUBLE_EQ(shedding.DebugStatus().Get("windows").Get("shed_rate")
+                       .AsDouble(),
+                   1.0);
 }
 
 TEST_F(ServeFixture, DebugStatusMidSoakIsValidJsonAndRankClean) {

@@ -175,6 +175,27 @@ TEST(JsonTest, ParseErrors) {
   EXPECT_FALSE(Json::Parse("\"unterminated").ok());
 }
 
+TEST(JsonTest, DeepNestingParsesUpToTheCap) {
+  const std::string deep = std::string(1000, '[') + std::string(1000, ']');
+  auto parsed = Json::Parse(deep);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->Dump(), deep);
+}
+
+TEST(JsonTest, NestingPastTheCapIsAParseErrorNotACrash) {
+  // Unbounded recursion would run off the stack here; the parser must
+  // refuse the document with an offset instead.
+  for (const char* open : {"[", "{\"k\":"}) {
+    std::string hostile;
+    for (int i = 0; i < 10000; ++i) hostile += open;
+    auto parsed = Json::Parse(hostile);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_NE(parsed.status().message().find("at offset"), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(JsonTest, UnicodeEscape) {
   auto parsed = Json::Parse(R"("Aé")");
   ASSERT_TRUE(parsed.ok());
